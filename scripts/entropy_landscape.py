@@ -2,20 +2,22 @@
 """Map the entropy-of-mixing landscape over the diagonal-state triangle.
 
 Writes the constraint/entropy grid as CSV and equi-entropy contour polylines
-as JSON (same shapes the CLI emits), then prints summary statistics: the
-entropy extrema, the in-region fraction of the bounding box, and the residual
-of the n3 -> -n3 mirror symmetry checked on the extracted contours.
+as JSON, byte for byte what `qutrit-bloch triangle` and `qutrit-bloch contour`
+print for the same options, then prints summary statistics: the entropy
+extrema, the in-region fraction of the bounding box, and the residual of the
+n3 -> -n3 mirror symmetry checked on the extracted contours.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from qutrit_bloch.bloch import DEFAULT_TOL
+from qutrit_bloch.cli import _contour_document, _finite_float, _grid_csv, _to_json
 from qutrit_bloch.triangle import diag_entropy, entropy_grid, equi_entropy_contour
 
 
@@ -24,7 +26,7 @@ class Config:
     resolution: int = 301
     contour_resolution: int = 256
     levels: tuple[float, ...] = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.95, 0.99)
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
     outdir: Path = Path("entropy_landscape_out")
 
 
@@ -37,24 +39,11 @@ def parse_args() -> Config:
         default=",".join(str(v) for v in Config.levels),
         help="comma-separated entropy levels in (0, 1)",
     )
-    parser.add_argument("--tol", type=float, default=Config.tol)
+    parser.add_argument("--tol", type=_finite_float, default=Config.tol)
     parser.add_argument("--outdir", type=Path, default=Config.outdir)
     ns = parser.parse_args()
     levels = tuple(float(t) for t in ns.levels.split(",") if t.strip())
     return Config(ns.resolution, ns.contour_resolution, levels, ns.tol, ns.outdir)
-
-
-def write_grid_csv(path: Path, grid) -> None:
-    with path.open("w") as fh:
-        fh.write("n3,n8,q1,q2,in_region,entropy\n")
-        for i8, v8 in enumerate(grid.n8):
-            for i3, v3 in enumerate(grid.n3):
-                inside = bool(grid.in_region[i8, i3])
-                ent = f"{grid.entropy[i8, i3]:.17g}" if inside else ""
-                fh.write(
-                    f"{v3:.17g},{v8:.17g},{grid.q1[i8, i3]:.17g},"
-                    f"{grid.q2[i8, i3]:.17g},{'true' if inside else 'false'},{ent}\n"
-                )
 
 
 def main() -> None:
@@ -62,7 +51,7 @@ def main() -> None:
     cfg.outdir.mkdir(parents=True, exist_ok=True)
 
     grid = entropy_grid(cfg.resolution, cfg.tol)
-    write_grid_csv(cfg.outdir / "triangle_grid.csv", grid)
+    (cfg.outdir / "triangle_grid.csv").write_text(_grid_csv(grid) + "\n")
     inside = grid.in_region
     ent = np.where(inside, grid.entropy, -np.inf)
     iy, ix = np.unravel_index(np.argmax(ent), ent.shape)
@@ -84,21 +73,12 @@ def main() -> None:
                 mirror_residual = max(
                     mirror_residual, abs(diag_entropy((-p.n3, p.n8)) - level)
                 )
-        contours.append(
-            {
-                "level": level,
-                "polylines": [[[p.n3, p.n8] for p in line] for line in polylines],
-            }
-        )
+        contours.append((level, polylines))
         print(f"level {level:5.3f}: {len(polylines):3d} polyline(s), {points:5d} points")
     print(f"mirror-symmetry residual over contour points: {mirror_residual:.3e}")
 
-    payload = {
-        "schema_version": "1",
-        "resolution": cfg.contour_resolution,
-        "levels": contours,
-    }
-    (cfg.outdir / "contours.json").write_text(json.dumps(payload))
+    document = _contour_document(cfg.contour_resolution, contours)
+    (cfg.outdir / "contours.json").write_text(_to_json(document) + "\n")
     print(f"wrote {cfg.outdir / 'triangle_grid.csv'} and {cfg.outdir / 'contours.json'}")
 
 

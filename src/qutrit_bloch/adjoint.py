@@ -5,7 +5,8 @@ Conjugation rho -> U rho U^dag acts on Bloch vectors as the real matrix
     Ad(U)_ij = (1/2) Tr(sigma_i U sigma_j U^dag)        (SU(2) -> SO(3))
     Ad(U)_ij = (1/2) Tr(lambda_i U lambda_j U^dag)      (SU(3) -> SO(8))
 
-computed densely from the trace formula.  Ad(SU(3)) is only an 8-parameter
+computed densely from the trace formula; a (..., dim, dim) stack of unitaries
+gives the matching stack of rotations.  Ad(SU(3)) is only an 8-parameter
 subgroup of SO(8); this module certifies the necessary conditions
 (orthogonality, unit determinant) but does not decide membership.
 
@@ -36,37 +37,51 @@ _PAULI.flags.writeable = False
 
 
 def _validate_special_unitary(u, dim: int, tol: float = UNITARY_TOL) -> np.ndarray:
+    """Check a dim x dim special unitary, or a (..., dim, dim) stack of them."""
     u = np.asarray(u, dtype=complex)
-    if u.shape != (dim, dim):
+    if u.shape[-2:] != (dim, dim):
         raise ValidationError(f"expected a {dim}x{dim} matrix, got shape {u.shape}")
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
+    dev = float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(dim))))
     if dev > tol:
         raise ValidationError(f"not unitary: max |U^dag U - I| = {dev:.3e}")
-    det = complex(np.linalg.det(u))
-    if abs(det - 1.0) > tol:
-        raise ValidationError(f"not special unitary: det = {det:.17g}")
+    det = np.linalg.det(u)
+    bad = np.abs(det - 1.0) > tol
+    if np.any(bad):
+        raise ValidationError(f"not special unitary: det = {complex(det[bad][0]):.17g}")
     return u
+
+
+def _adjoint(u, generators: np.ndarray) -> np.ndarray:
+    """Ad(U)_ij = (1/2) Tr(g_i U g_j U^dag) for U or a (..., dim, dim) stack."""
+    u = _validate_special_unitary(u, generators.shape[-1])
+    return 0.5 * np.real(
+        np.einsum("iab,...bc,jcd,...ad->...ij", generators, u, generators, u.conj())
+    )
 
 
 def adjoint_su3(u) -> np.ndarray:
     """The 8x8 rotation Ad(U)_ij = (1/2) Tr(lambda_i U lambda_j U^dag)."""
-    u = _validate_special_unitary(u, 3)
-    return 0.5 * np.real(np.einsum("iab,bc,jcd,ad->ij", _LAMBDA, u, _LAMBDA, u.conj()))
+    return _adjoint(u, _LAMBDA)
 
 
 def adjoint_su2(u) -> np.ndarray:
     """The 3x3 rotation Ad(U)_ij = (1/2) Tr(sigma_i U sigma_j U^dag)."""
-    u = _validate_special_unitary(u, 2)
-    return 0.5 * np.real(np.einsum("iab,bc,jcd,ad->ij", _PAULI, u, _PAULI, u.conj()))
+    return _adjoint(u, _PAULI)
 
 
-def _haar_special_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def _haar_special_unitary(dim: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+    """A (*shape, dim, dim) array of Haar special unitaries.
+
+    Each matrix draws its real then its imaginary part before the next one
+    starts, so a batch of k equals k single draws from the same generator.
+    """
+    g = rng.standard_normal((*shape, 2, dim, dim))
+    z = g[..., 0, :, :] + 1j * g[..., 1, :, :]
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
-    det = complex(np.linalg.det(q))
-    return q * np.exp(-1j * np.angle(det) / dim)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (diag / np.abs(diag))[..., None, :]
+    det = np.linalg.det(q)
+    return q * np.exp(-1j * np.angle(det) / dim)[..., None, None]
 
 
 def haar_random_su3(seed: int) -> np.ndarray:
@@ -91,8 +106,5 @@ def orbit_sample(n, count: int, seed: int, tol: float = DEFAULT_TOL) -> np.ndarr
         raise ValueError("count must be at least 1")
     if not is_mixed_state(n, tol):
         raise ValidationError("orbit_sample: input is not a valid state")
-    rng = np.random.default_rng(seed)
-    out = np.empty((count, 8))
-    for i in range(count):
-        out[i] = adjoint_su3(_haar_special_unitary(3, rng)) @ n
-    return out
+    unitaries = _haar_special_unitary(3, np.random.default_rng(seed), (count,))
+    return adjoint_su3(unitaries) @ n

@@ -92,16 +92,24 @@ def is_pure(n, tol: float = DEFAULT_TOL) -> bool:
     return float(np.max(np.abs(star(n, n) - n))) <= tol
 
 
+def _in_unit_interval(q, tol: float) -> np.ndarray:
+    """Elementwise -tol <= q <= 1 + tol: the slack every state gate allows.
+
+    Raises ValueError unless tol >= 0 (a NaN tol is rejected too).
+    """
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
+    q = np.asarray(q)
+    return (q >= -tol) & (q <= 1.0 + tol)
+
+
 def is_mixed_state(n, tol: float = DEFAULT_TOL) -> bool:
     """True when both state constraints lie in [-tol, 1 + tol].
 
     Covers every density matrix, pure states included; the name follows the
     mixed-state parametrization the constraints were derived from.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    q1, q2 = state_constraints(n)
-    return -tol <= q1 <= 1.0 + tol and -tol <= q2 <= 1.0 + tol
+    return bool(_in_unit_interval(state_constraints(n), tol).all())
 
 
 def geodesic_distance(n, m, tol: float = DEFAULT_TOL) -> float:

@@ -13,13 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .adjoint import orbit_sample
-from .bloch import ValidationError, is_mixed_state, is_pure, state_constraints
+from .bloch import DEFAULT_TOL, ValidationError, is_mixed_state, is_pure, state_constraints
 from .density import bloch_matrix, eigvals_hermitian_3x3, from_bloch, mixing_entropy, to_bloch
 from .triangle import (
     N3_RANGE,
@@ -169,26 +170,31 @@ def _grid_rows(grid):
             )
 
 
+def _grid_csv(grid) -> str:
+    """The grid as CSV text, header first, without a final newline."""
+    lines = ["n3,n8,q1,q2,in_region,entropy"]
+    for n3, n8, q1, q2, inside, entropy in _grid_rows(grid):
+        lines.append(
+            ",".join(
+                [
+                    _fmt(n3),
+                    _fmt(n8),
+                    _fmt(q1),
+                    _fmt(q2),
+                    "true" if inside else "false",
+                    "" if entropy is None else _fmt(entropy),
+                ]
+            )
+        )
+    return "\n".join(lines)
+
+
 def cmd_triangle(ns) -> int:
     if ns.resolution < 2:
         raise UsageError("--resolution must be at least 2")
     grid = entropy_grid(ns.resolution, ns.tol)
     if ns.format == "csv":
-        lines = ["n3,n8,q1,q2,in_region,entropy"]
-        for n3, n8, q1, q2, inside, entropy in _grid_rows(grid):
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(n3),
-                        _fmt(n8),
-                        _fmt(q1),
-                        _fmt(q2),
-                        "true" if inside else "false",
-                        "" if entropy is None else _fmt(entropy),
-                    ]
-                )
-            )
-        print("\n".join(lines))
+        print(_grid_csv(grid))
     else:
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -218,21 +224,23 @@ def _parse_levels(arg: str) -> list[float]:
     return levels
 
 
+def _contour_document(resolution: int, contours) -> dict:
+    """The contour document for (level, polylines) pairs traced at resolution."""
+    entries = [
+        {"level": level, "polylines": [[[p.n3, p.n8] for p in line] for line in polylines]}
+        for level, polylines in contours
+    ]
+    return {"schema_version": SCHEMA_VERSION, "resolution": resolution, "levels": entries}
+
+
 def cmd_contour(ns) -> int:
     if ns.resolution < 2:
         raise UsageError("--resolution must be at least 2")
-    levels = _parse_levels(ns.levels)
-    entries = []
-    for level in levels:
-        polylines = equi_entropy_contour(level, ns.tol, ns.resolution)
-        entries.append(
-            {
-                "level": level,
-                "polylines": [[[p.n3, p.n8] for p in line] for line in polylines],
-            }
-        )
-    doc = {"schema_version": SCHEMA_VERSION, "resolution": ns.resolution, "levels": entries}
-    print(_to_json(doc))
+    contours = [
+        (level, equi_entropy_contour(level, ns.tol, ns.resolution))
+        for level in _parse_levels(ns.levels)
+    ]
+    print(_to_json(_contour_document(ns.resolution, contours)))
     return 0
 
 
@@ -269,8 +277,20 @@ def cmd_named_points(ns) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_tol(sub):
-    sub.add_argument("--tol", type=float, default=1e-9, help="state-predicate tolerance")
+    sub.add_argument(
+        "--tol", type=_finite_float, default=DEFAULT_TOL, help="state-predicate tolerance"
+    )
 
 
 def _add_vector_args(sub):
@@ -321,18 +341,27 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         return ns.func(ns)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (UsageError, ValueError) as exc:  # ValueError: a library argument check
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code) if exc.code else 0
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # surface a closed pipe here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader left early (`| head`): point stdout at devnull so the
+        # flush at exit cannot fail again, as the Python docs recommend.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

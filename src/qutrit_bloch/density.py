@@ -16,7 +16,13 @@ import math
 
 import numpy as np
 
-from .bloch import DEFAULT_TOL, ValidationError, as_bloch_vector, state_constraints
+from .bloch import (
+    DEFAULT_TOL,
+    ValidationError,
+    _in_unit_interval,
+    as_bloch_vector,
+    state_constraints,
+)
 from .gellmann import _LAMBDA, SQRT3
 
 HERMITICITY_TOL = 1e-12
@@ -24,6 +30,7 @@ TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 
 _EYE3 = np.eye(3)
+_LN3 = math.log(3.0)
 
 
 def bloch_matrix(n) -> np.ndarray:
@@ -44,9 +51,10 @@ def from_bloch(n, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     n = as_bloch_vector(n)
     q1, q2 = state_constraints(n)
-    if not -tol <= q1 <= 1.0 + tol:
+    q1_ok, q2_ok = _in_unit_interval((q1, q2), tol)
+    if not q1_ok:
         raise ValidationError(f"not a state: |n|^2 = {q1:.17g} outside [0, 1]")
-    if not -tol <= q2 <= 1.0 + tol:
+    if not q2_ok:
         raise ValidationError(
             f"not a state: 3|n|^2 - 2 n.(n star n) = {q2:.17g} outside [0, 1]"
         )
@@ -146,6 +154,14 @@ def validate_density(
     Raises ValidationError naming the violated invariant.  Callers are not
     trusted: every construction from a raw matrix goes through here.
     """
+    return _validated_spectrum(rho, herm_tol, trace_tol, eig_tol)[0]
+
+
+def _validated_spectrum(rho, herm_tol, trace_tol, eig_tol) -> tuple[np.ndarray, np.ndarray]:
+    """Run validate_density's checks; return rho and its descending eigenvalues.
+
+    The positivity check computes them, so callers need not solve again.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (3, 3):
         raise ValidationError(f"density matrix must be 3x3, got shape {rho.shape}")
@@ -157,16 +173,16 @@ def validate_density(
     trace_dev = abs(complex(rho.trace()) - 1.0)
     if trace_dev > trace_tol:
         raise ValidationError(f"trace must be 1: |Tr rho - 1| = {trace_dev:.3e}")
-    lo = float(eigvals_hermitian_3x3(rho)[2])
+    eigenvalues = eigvals_hermitian_3x3(rho)
+    lo = float(eigenvalues[2])
     if lo < -eig_tol:
         raise ValidationError(f"not positive semidefinite: min eigenvalue = {lo:.3e}")
-    return rho
+    return rho, eigenvalues
 
 
 def spectrum(rho) -> np.ndarray:
     """Eigenvalues (x1 >= x2 >= x3) of a valid density matrix."""
-    rho = validate_density(rho)
-    return eigvals_hermitian_3x3(rho)
+    return _validated_spectrum(rho, HERMITICITY_TOL, TRACE_TOL, POSITIVITY_TOL)[1]
 
 
 def char_poly_coeffs(rho) -> tuple[float, float, float]:
@@ -184,15 +200,17 @@ def char_poly_coeffs(rho) -> tuple[float, float, float]:
     return float(c1), float(c2), float(c3)
 
 
-def mixing_entropy(eigenvalues) -> float:
-    """Base-3 Shannon entropy of an eigenvalue triple, with 0 log 0 = 0.
+def mixing_entropy(eigenvalues) -> float | np.ndarray:
+    """Base-3 Shannon entropy -sum_i x_i log3 x_i, with 0 log 0 = 0.
 
-    Entries within round-off below zero are clipped; inputs are expected to
-    sum to 1.
+    The triple runs along the first axis and any further axes broadcast, so
+    an array of shape (3, ...) gives entropies of shape (...); a plain triple
+    gives a scalar.  Entries within round-off below zero are clipped; inputs
+    are expected to sum to 1.
     """
     xs = np.clip(np.asarray(eigenvalues, dtype=float), 0.0, None)
-    pos = xs[xs > 0.0]
-    return float(-np.sum(pos * np.log(pos)) / math.log(3.0) + 0.0)  # +0.0 kills -0.0
+    terms = xs * np.log(np.where(xs > 0.0, xs, 1.0))
+    return -terms.sum(axis=0) / _LN3 + 0.0  # +0.0 kills -0.0
 
 
 def entropy_of_mixing(rho) -> float:

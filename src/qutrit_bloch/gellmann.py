@@ -8,13 +8,14 @@ real rank-3 tensors, the totally antisymmetric f and the totally symmetric d:
                         + i sum_l f_jkl lambda_l
 
 Ground truth for f and d is the irreducible table of nonzero entries (one
-representative per index set); lookups and the dense tensors are derived from
-it by (anti)symmetry.  All public indices are 1-based; the tables stay
-auditable entry by entry.
+representative per index set); the dense tensors are derived from it by
+(anti)symmetry and the scalar lookups read them.  All public indices are
+1-based; the tables stay auditable entry by entry.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -70,30 +71,6 @@ _D_TABLE = {
 }
 
 
-def _sort_with_parity(j: int, k: int, l: int) -> tuple[tuple[int, int, int], int]:
-    """Ascending rearrangement of (j, k, l) and the sign of the permutation."""
-    idx = [j, k, l]
-    sign = 1
-    for a in range(2):
-        for b in range(2 - a):
-            if idx[b] > idx[b + 1]:
-                idx[b], idx[b + 1] = idx[b + 1], idx[b]
-                sign = -sign
-    return (idx[0], idx[1], idx[2]), sign
-
-
-def _canonicalize(table: dict, antisymmetric: bool) -> dict:
-    canon: dict[tuple[int, int, int], float] = {}
-    for key, value in table.items():
-        sorted_key, sign = _sort_with_parity(*key)
-        canon[sorted_key] = value * (sign if antisymmetric else 1)
-    return canon
-
-
-_F_CANON = _canonicalize(_F_TABLE, antisymmetric=True)
-_D_CANON = _canonicalize(_D_TABLE, antisymmetric=False)
-
-
 def _check_index(i: int) -> int:
     i = int(i)
     if not 1 <= i <= 8:
@@ -111,39 +88,30 @@ def basis() -> np.ndarray:
     return _LAMBDA
 
 
-def f_symbol(j: int, k: int, l: int) -> float:
-    """Totally antisymmetric structure constant f_jkl."""
-    j, k, l = _check_index(j), _check_index(k), _check_index(l)
-    if j == k or k == l or j == l:
-        return 0.0
-    key, sign = _sort_with_parity(j, k, l)
-    return sign * _F_CANON.get(key, 0.0)
-
-
-def d_symbol(j: int, k: int, l: int) -> float:
-    """Totally symmetric invariant tensor d_jkl."""
-    j, k, l = _check_index(j), _check_index(k), _check_index(l)
-    return _D_CANON.get(tuple(sorted((j, k, l))), 0.0)
-
-
-def _dense(canon: dict, antisymmetric: bool) -> np.ndarray:
+def _dense(table: dict, antisymmetric: bool) -> np.ndarray:
+    """Spread each tabulated entry over every ordering of its index set."""
     t = np.zeros((8, 8, 8))
-    for j in range(1, 9):
-        for k in range(1, 9):
-            for l in range(1, 9):
-                if antisymmetric:
-                    if j == k or k == l or j == l:
-                        continue
-                    key, sign = _sort_with_parity(j, k, l)
-                    t[j - 1, k - 1, l - 1] = sign * canon.get(key, 0.0)
-                else:
-                    t[j - 1, k - 1, l - 1] = canon.get(tuple(sorted((j, k, l))), 0.0)
+    for key, value in table.items():
+        for p in itertools.permutations(range(3)):
+            # (p1 - p0)(p2 - p0)(p2 - p1)/2 is the sign of the permutation p
+            sign = (p[1] - p[0]) * (p[2] - p[0]) * (p[2] - p[1]) // 2 if antisymmetric else 1
+            t[tuple(key[i] - 1 for i in p)] = sign * value
     t.flags.writeable = False
     return t
 
 
-_F_DENSE = _dense(_F_CANON, antisymmetric=True)
-_D_DENSE = _dense(_D_CANON, antisymmetric=False)
+_F_DENSE = _dense(_F_TABLE, antisymmetric=True)
+_D_DENSE = _dense(_D_TABLE, antisymmetric=False)
+
+
+def f_symbol(j: int, k: int, l: int) -> float:
+    """Totally antisymmetric structure constant f_jkl."""
+    return float(_F_DENSE[_check_index(j) - 1, _check_index(k) - 1, _check_index(l) - 1])
+
+
+def d_symbol(j: int, k: int, l: int) -> float:
+    """Totally symmetric invariant tensor d_jkl."""
+    return float(_D_DENSE[_check_index(j) - 1, _check_index(k) - 1, _check_index(l) - 1])
 
 
 def f_tensor() -> np.ndarray:

@@ -28,11 +28,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import DEFAULT_TOL, ValidationError
+from .bloch import DEFAULT_TOL, ValidationError, _in_unit_interval
 from .density import mixing_entropy
 from .gellmann import SQRT3
-
-_LN3 = np.log(3.0)
 
 
 class DiagPoint(NamedTuple):
@@ -76,24 +74,22 @@ def bloch_from_diag(p) -> np.ndarray:
     return n
 
 
-def diag_constraints(p) -> tuple[float, float]:
+def diag_constraints(p):
     """The two reduced constraint polynomials (q1, q2) at a diagonal point.
 
     p lies in the state triangle exactly when both values are in [0, 1].
     These are the restrictions of the full 8-vector state functionals.
+    p = (n3, n8) may hold arrays of one shape; q1 and q2 then have it too.
     """
     n3, n8 = p
     q1 = n3 * n3 + n8 * n8
     q2 = 2 * n8**3 - 6 * n3**2 * n8 + 3 * n3**2 + 3 * n8**2
-    return float(q1), float(q2)
+    return q1, q2
 
 
 def in_triangle(p, tol: float = DEFAULT_TOL) -> bool:
     """True when both constraint polynomials lie in [-tol, 1 + tol]."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    q1, q2 = diag_constraints(p)
-    return -tol <= q1 <= 1.0 + tol and -tol <= q2 <= 1.0 + tol
+    return bool(_in_unit_interval(diag_constraints(p), tol).all())
 
 
 def diag_eigenvalues(p) -> np.ndarray:
@@ -102,6 +98,8 @@ def diag_eigenvalues(p) -> np.ndarray:
     The triple ((1 + sqrt(3) n3 + n8)/3, (1 - sqrt(3) n3 + n8)/3,
     (1 - 2 n8)/3) is affine in p and evaluates to the unit vectors at the
     vertices, so it doubles as barycentric coordinates on the triangle.
+    The triple runs along the first axis: p = (n3, n8) holding arrays of
+    shape S gives an array of shape (3, *S), the layout mixing_entropy takes.
     """
     n3, n8 = p
     return np.array(
@@ -130,21 +128,6 @@ def named_points() -> dict[str, tuple[DiagPoint, np.ndarray]]:
     return {label: (coords[label], _DENSITIES[label].copy()) for label in coords}
 
 
-def _entropy_field(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized entropy of mixing; caller masks out-of-region points."""
-    xs = np.stack(
-        [
-            (1.0 + SQRT3 * x + y) / 3.0,
-            (1.0 - SQRT3 * x + y) / 3.0,
-            (1.0 - 2.0 * y) / 3.0,
-        ]
-    )
-    xs = np.clip(xs, 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(xs > 0.0, xs * np.log(xs), 0.0)
-    return -terms.sum(axis=0) / _LN3
-
-
 @dataclass(frozen=True)
 class EntropyGrid:
     """Uniform sampling of the triangle's bounding box.
@@ -168,21 +151,10 @@ def entropy_grid(resolution: int, tol: float = DEFAULT_TOL) -> EntropyGrid:
     n3 = np.linspace(*N3_RANGE, resolution)
     n8 = np.linspace(*N8_RANGE, resolution)
     x, y = np.meshgrid(n3, n8)
-    q1 = x * x + y * y
-    q2 = 2 * y**3 - 6 * x**2 * y + 3 * x**2 + 3 * y**2
-    in_region = (q1 >= -tol) & (q1 <= 1.0 + tol) & (q2 >= -tol) & (q2 <= 1.0 + tol)
-    entropy = np.where(in_region, _entropy_field(x, y), np.nan)
+    q1, q2 = diag_constraints((x, y))
+    in_region = _in_unit_interval((q1, q2), tol).all(axis=0)
+    entropy = np.where(in_region, mixing_entropy(diag_eigenvalues((x, y))), np.nan)
     return EntropyGrid(n3=n3, n8=n8, q1=q1, q2=q2, in_region=in_region, entropy=entropy)
-
-
-def _edge_endpoints(edge_id, n3_axis, n8_axis):
-    kind, iy, ix = edge_id
-    p0 = (n3_axis[ix], n8_axis[iy])
-    if kind == "h":
-        p1 = (n3_axis[ix + 1], n8_axis[iy])
-    else:
-        p1 = (n3_axis[ix], n8_axis[iy + 1])
-    return np.array(p0), np.array(p1)
 
 
 def _refine_crossing(p0, p1, b0, b1, level, tol, max_iter=120) -> DiagPoint:
@@ -192,18 +164,9 @@ def _refine_crossing(p0, p1, b0, b1, level, tol, max_iter=120) -> DiagPoint:
     linear interpolant and falls back to bisection; E is smooth along the
     segment and changes sign, so this terminates.
     """
-    t = b0 / (b0 - b1)
-    point = (1.0 - t) * p0 + t * p1
-    b = mixing_entropy(diag_eigenvalues(point)) - level
-    if abs(b) <= tol:
-        return DiagPoint(*point)
     ta, tb = 0.0, 1.0
-    if b >= 0.0:
-        ta = t
-    else:
-        tb = t
-    for _ in range(max_iter):
-        t = 0.5 * (ta + tb)
+    t = b0 / (b0 - b1)
+    for _ in range(1 + max_iter):
         point = (1.0 - t) * p0 + t * p1
         b = mixing_entropy(diag_eigenvalues(point)) - level
         if abs(b) <= tol:
@@ -212,6 +175,7 @@ def _refine_crossing(p0, p1, b0, b1, level, tol, max_iter=120) -> DiagPoint:
             ta = t
         else:
             tb = t
+        t = 0.5 * (ta + tb)
     raise ValidationError(
         f"contour refinement failed to reach |E - {level}| <= {tol}"
     )
@@ -263,9 +227,10 @@ def equi_entropy_contour(
     def crossing_point(edge_id):
         if edge_id not in crossings:
             kind, iy, ix = edge_id
-            p0, p1 = _edge_endpoints(edge_id, grid.n3, grid.n8)
-            b0 = b[iy, ix]
-            b1 = b[iy, ix + 1] if kind == "h" else b[iy + 1, ix]
+            jy, jx = (iy, ix + 1) if kind == "h" else (iy + 1, ix)
+            p0 = np.array((grid.n3[ix], grid.n8[iy]))
+            p1 = np.array((grid.n3[jx], grid.n8[jy]))
+            b0, b1 = b[iy, ix], b[jy, jx]
             if b0 < 0.0:  # orient so the first endpoint is the one above
                 p0, p1, b0, b1 = p1, p0, b1, b0
             crossings[edge_id] = _refine_crossing(p0, p1, b0, b1, level, tol)
@@ -335,16 +300,12 @@ def _assemble_polylines(adjacency, crossings) -> list[list[DiagPoint]]:
 
     polylines = []
     endpoints = sorted(e for e, nbrs in adjacency.items() if len(nbrs) == 1)
-    for start in endpoints:
+    # Open chains first, from their dead ends; what remains are loops.
+    for start in endpoints + sorted(adjacency):
         if all(link(start, nb) in used for nb in adjacency[start]):
             continue
-        chain = walk(start)
-        polylines.append([crossings[e] for e in chain])
-    for start in sorted(adjacency):
-        if all(link(start, nb) in used for nb in adjacency[start]):
-            continue
-        chain = walk(start)  # remaining components are loops
-        points = [crossings[e] for e in chain]
-        points.append(points[0])
+        points = [crossings[e] for e in walk(start)]
+        if len(adjacency[start]) > 1:
+            points.append(points[0])
         polylines.append(points)
     return polylines

@@ -85,6 +85,19 @@ class TestAdjointSU3:
         with pytest.raises(ValidationError, match="special"):
             adjoint.adjoint_su3(u)
 
+    def test_stack_matches_single_matrices(self):
+        us = np.array([adjoint.haar_random_su3(seed) for seed in range(4)])
+        ads = adjoint.adjoint_su3(us.reshape(2, 2, 3, 3))
+        assert ads.shape == (2, 2, 8, 8)
+        for u, ad in zip(us, ads.reshape(4, 8, 8)):
+            np.testing.assert_array_equal(ad, adjoint.adjoint_su3(u))
+
+    def test_stack_with_one_non_special_member_is_rejected(self):
+        us = np.array([adjoint.haar_random_su3(seed) for seed in range(3)])
+        us[1] *= np.exp(1j * 0.3)
+        with pytest.raises(ValidationError, match="special"):
+            adjoint.adjoint_su3(us)
+
 
 class TestAdjointSU2:
     def test_identity(self):
@@ -128,6 +141,35 @@ class TestHaarSampling:
             np.testing.assert_allclose(u.conj().T @ u, np.eye(3), atol=1e-12)
             assert abs(np.linalg.det(u) - 1.0) <= 1e-12
 
+    def test_fixed_seed_draw_is_pinned(self):
+        # Part of the public contract: seed 7 gives these exact doubles.
+        pinned = np.array(
+            [
+                [
+                    0.25114094507696777 - 0.4081572327792005j,
+                    0.06930395873251573 + 0.1383857596734689j,
+                    -0.8247603786081478 + 0.2572013991750756j,
+                ],
+                [
+                    -0.629085776410536 - 0.28988217890692514j,
+                    -0.15256611676247828 - 0.5599277371361041j,
+                    -0.26080899346012426 - 0.33970956183496387j,
+                ],
+                [
+                    -0.24090881558909327 + 0.4822014619196627j,
+                    0.7975578569494768 - 0.05614549708940407j,
+                    -0.26337158535251043 - 0.02879667858707588j,
+                ],
+            ]
+        )
+        np.testing.assert_array_equal(adjoint.haar_random_su3(7), pinned)
+
+    def test_batch_draw_matches_single_draws_in_stream_order(self):
+        batch = adjoint._haar_special_unitary(3, np.random.default_rng(8), (5,))
+        rng = np.random.default_rng(8)
+        for u in batch:
+            np.testing.assert_array_equal(u, adjoint._haar_special_unitary(3, rng))
+
     def test_first_moment_matches_haar(self):
         rng = np.random.default_rng(2024)
         total = 0.0
@@ -161,6 +203,18 @@ class TestOrbitSample:
         xs0 = density.spectrum(density.from_bloch(n))
         for v in adjoint.orbit_sample(n, 25, seed=11):
             np.testing.assert_allclose(density.spectrum(density.from_bloch(v)), xs0, atol=1e-10)
+
+    def test_matches_per_sample_reference_loop(self):
+        # The batched sampler draws each unitary's Gaussians in the same
+        # stream order as this one-at-a-time loop, so only the last bits of
+        # the contraction may differ.
+        for n, seed in ((N_R, 5), (sample_valid_bloch(np.random.default_rng(73), 1)[0], 6)):
+            rng = np.random.default_rng(seed)
+            expected = np.array(
+                [adjoint.adjoint_su3(adjoint._haar_special_unitary(3, rng)) @ n for _ in range(64)]
+            )
+            got = adjoint.orbit_sample(n, 64, seed=seed)
+            assert np.max(np.abs(got - expected)) <= 1e-15
 
     def test_reproducible(self):
         a = adjoint.orbit_sample(N_R, 7, seed=42)

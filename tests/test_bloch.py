@@ -186,6 +186,20 @@ class TestMixedState:
         with pytest.raises(ValueError):
             bloch.is_mixed_state(np.zeros(8), tol=-1.0)
 
+    @pytest.mark.parametrize("tol", [-1e-12, float("nan")])
+    def test_every_interval_gate_rejects_a_bad_tol(self, tol):
+        from qutrit_bloch import density, triangle
+
+        gates = [
+            lambda: bloch.is_mixed_state(np.zeros(8), tol),
+            lambda: density.from_bloch(np.zeros(8), tol),
+            lambda: triangle.in_triangle((0.0, 0.0), tol),
+            lambda: triangle.entropy_grid(3, tol),
+        ]
+        for gate in gates:
+            with pytest.raises(ValueError, match="tol must be nonnegative"):
+                gate()
+
     def test_constraints_at_vertices(self):
         for n in (N_R, N_B, N_G):
             q1, q2 = bloch.state_constraints(n)

@@ -1,6 +1,11 @@
 import io
 import json
 import math
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ import pytest
 from qutrit_bloch.cli import main
 from qutrit_bloch.gellmann import SQRT3
 
+ROOT = Path(__file__).resolve().parents[1]
 ORIGIN = ["0", "0", "0", "0", "0", "0", "0", "0"]
 VERTEX_R = ["0", "0", repr(SQRT3 / 2), "0", "0", "0", "0", "0.5"]
 
@@ -333,3 +339,54 @@ class TestFloatSerialization:
         code, out, _ = run(capsys, ["--help"])
         assert code == 0
         assert "qutrit-bloch" in out
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["orbit", *ORIGIN, "--seed", "-1"],
+            ["check", *ORIGIN, "--tol", "0"],
+            ["check", *ORIGIN, "--tol", "-1"],
+            ["contour", "--levels", "0.5", "--tol", "0"],
+            ["triangle", "--resolution", "3", "--tol", "nan"],
+        ],
+        ids=[
+            "orbit-negative-seed",
+            "check-zero-tol",
+            "check-negative-tol",
+            "contour-zero-tol",
+            "triangle-nan-tol",
+        ],
+    )
+    def test_exits_1_with_one_line_message(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_closed_pipe_leaves_no_traceback(self):
+        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        argv = [sys.executable, "-m", "qutrit_bloch.cli", "triangle", "--resolution", "300"]
+        pipes = dict(stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        with subprocess.Popen(argv, env=env, **pipes) as proc:
+            # The document is megabytes, far more than a pipe buffers, so the
+            # writer is still writing when the reader goes away.
+            assert proc.stdout.readline() == b"n3,n8,q1,q2,in_region,entropy\n"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+
+
+class TestEntropyLandscapeScript:
+    def test_files_match_cli_output(self, capsys, monkeypatch, tmp_path):
+        argv = ["--resolution", "11", "--contour-resolution", "32", "--levels", "0.5,0.9"]
+        monkeypatch.setattr(sys, "argv", ["entropy_landscape.py", *argv, "--outdir", str(tmp_path)])
+        runpy.run_path(str(ROOT / "scripts" / "entropy_landscape.py"), run_name="__main__")
+        capsys.readouterr()
+        _, grid_csv, _ = run(capsys, ["triangle", "--resolution", "11"])
+        _, contours, _ = run(capsys, ["contour", "--levels", "0.5,0.9", "--resolution", "32"])
+        assert (tmp_path / "triangle_grid.csv").read_text() == grid_csv
+        assert (tmp_path / "contours.json").read_text() == contours

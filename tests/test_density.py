@@ -215,6 +215,21 @@ class TestCharPoly:
                 assert (det >= 0) == (q2 <= 1.0)
 
 
+class TestSingleEigensolve:
+    @pytest.mark.parametrize("fn", [density.spectrum, density.entropy_of_mixing])
+    def test_solves_the_eigenproblem_once(self, fn, monkeypatch):
+        calls = []
+        solve = density.eigvals_hermitian_3x3
+
+        def counting(mat):
+            calls.append(mat)
+            return solve(mat)
+
+        monkeypatch.setattr(density, "eigvals_hermitian_3x3", counting)
+        fn(density.from_bloch(sample_valid_bloch(np.random.default_rng(47), 1)[0]))
+        assert len(calls) == 1
+
+
 class TestEntropy:
     def test_maximally_mixed_is_one(self):
         assert abs(density.entropy_of_mixing(np.eye(3) / 3) - 1.0) <= 1e-12
@@ -231,6 +246,14 @@ class TestEntropy:
         assert density.mixing_entropy([0.5, 0.5, -1e-14]) == pytest.approx(
             math.log(2) / math.log(3), abs=1e-12
         )
+
+    def test_triples_run_along_the_first_axis(self):
+        xs = np.array([[1.0, 0.5, 1 / 3], [0.0, 0.5, 1 / 3], [0.0, 0.0, 1 / 3]])
+        batch = density.mixing_entropy(xs.reshape(3, 3, 1))
+        assert batch.shape == (3, 1)
+        for column, e in zip(xs.T, batch[:, 0]):
+            assert e == density.mixing_entropy(column)
+        assert not np.signbit(batch[0, 0])
 
     def test_range_on_random_states(self):
         rng = np.random.default_rng(41)

@@ -68,6 +68,16 @@ class TestMembership:
         with pytest.raises(ValueError):
             triangle.in_triangle((0.0, 0.0), tol=-1.0)
 
+    def test_constraints_broadcast_over_point_arrays(self):
+        n3 = np.array([[0.0, 0.3], [-0.2, 0.1]])
+        n8 = np.array([[0.0, -0.4], [0.25, 0.5]])
+        q1, q2 = triangle.diag_constraints((n3, n8))
+        xs = triangle.diag_eigenvalues((n3, n8))
+        assert q1.shape == q2.shape == (2, 2) and xs.shape == (3, 2, 2)
+        for i, j in np.ndindex(2, 2):
+            assert (q1[i, j], q2[i, j]) == triangle.diag_constraints((n3[i, j], n8[i, j]))
+            assert np.array_equal(xs[:, i, j], triangle.diag_eigenvalues((n3[i, j], n8[i, j])))
+
     @given(in_box_point)
     @settings(deadline=None, max_examples=300)
     def test_three_way_equivalence(self, p):
@@ -235,6 +245,17 @@ class TestEntropyGrid:
             (grid.n3[0], 0.5),
             (0.0, -1.0),
         }
+
+    @pytest.mark.parametrize("resolution", [5, 101])
+    def test_entropy_is_the_scalar_kernel_bit_for_bit(self, resolution):
+        # Odd resolutions put vertex G on a grid node, where the entropy is a
+        # zero that must come out as +0, as the scalar path gives it.
+        grid = triangle.entropy_grid(resolution)
+        iy, ix = np.nonzero(grid.in_region)
+        for i, j in zip(iy, ix):
+            scalar = density.mixing_entropy(triangle.diag_eigenvalues((grid.n3[j], grid.n8[i])))
+            assert np.float64(scalar).view(np.uint64) == grid.entropy[i, j].view(np.uint64)
+        assert not np.any(np.signbit(grid.entropy[grid.in_region]))
 
     def test_in_region_fraction_near_half(self):
         grid = triangle.entropy_grid(200)
