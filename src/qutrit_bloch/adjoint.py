@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bloch import DEFAULT_TOL, ValidationError, as_bloch_vector, is_mixed_state
+from .bloch import DEFAULT_TOL, ValidationError, _require_state
 from .gellmann import _LAMBDA
 
 UNITARY_TOL = 1e-12
@@ -101,10 +101,8 @@ def orbit_sample(n, count: int, seed: int, tol: float = DEFAULT_TOL) -> np.ndarr
     sampler owns a private generator, so concurrent calls with distinct seeds
     are independent and a fixed (n, count, seed) is fully reproducible.
     """
-    n = as_bloch_vector(n)
+    n = _require_state(n, tol)
     if count < 1:
         raise ValueError("count must be at least 1")
-    if not is_mixed_state(n, tol):
-        raise ValidationError("orbit_sample: input is not a valid state")
     unitaries = _haar_special_unitary(3, np.random.default_rng(seed), (count,))
     return adjoint_su3(unitaries) @ n

@@ -112,6 +112,19 @@ def is_mixed_state(n, tol: float = DEFAULT_TOL) -> bool:
     return bool(_in_unit_interval(state_constraints(n), tol).all())
 
 
+def _require_state(n, tol: float) -> np.ndarray:
+    """Return n if is_mixed_state(n, tol), else raise naming the violated constraint."""
+    n = as_bloch_vector(n)
+    q = state_constraints(n)
+    names = ("|n|^2", "3|n|^2 - 2 n.(n star n)")
+    for name, value, ok in zip(names, q, _in_unit_interval(q, tol)):
+        if not ok:
+            raise ValidationError(
+                f"not a state: {name} = {value:.17g} outside [0, 1] (not positive semidefinite)"
+            )
+    return n
+
+
 def geodesic_distance(n, m, tol: float = DEFAULT_TOL) -> float:
     """Angle arccos(n.m) between two pure states, in radians.
 

@@ -150,7 +150,7 @@ def cmd_convert(ns) -> int:
         rho = from_bloch(_vector_arg(ns), ns.tol)
         doc = {"schema_version": SCHEMA_VERSION, "density": _matrix_pairs(rho)}
     else:
-        n = to_bloch(_matrix_arg(ns))
+        n = to_bloch(_matrix_arg(ns), ns.tol)
         doc = {"schema_version": SCHEMA_VERSION, "bloch": list(map(float, n))}
     print(_to_json(doc))
     return 0
@@ -221,6 +221,8 @@ def _parse_levels(arg: str) -> list[float]:
         if not 0.0 < level < 1.0:
             raise UsageError(f"contour level {token} is outside (0, 1)")
         levels.append(level)
+    if not levels:
+        raise UsageError("--levels names no contour level")
     return levels
 
 
@@ -287,6 +289,16 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def _add_tol(sub):
     sub.add_argument(
         "--tol", type=_finite_float, default=DEFAULT_TOL, help="state-predicate tolerance"
@@ -320,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_triangle)
 
     p = sub.add_parser("contour", help="emit equi-entropy polylines")
-    p.add_argument("--levels", default="", help="comma-separated entropy levels in (0, 1)")
+    p.add_argument("--levels", required=True, help="comma-separated entropy levels in (0, 1)")
     p.add_argument("--resolution", type=int, default=256, help="marching-squares grid size")
     _add_tol(p)
     p.set_defaults(func=cmd_contour)
@@ -328,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="sample the unitary orbit of a state")
     _add_vector_args(p)
     p.add_argument("--count", type=int, default=100, help="number of samples")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="random seed")
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("named-points", help="dump the labeled vertex/midpoint table")

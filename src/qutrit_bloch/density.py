@@ -4,6 +4,12 @@ Implements both directions of rho = (1/3)(I + sqrt(3) n.lambda).  The inverse
 map n_j = (sqrt(3)/2) Tr(rho lambda_j) is not an independent convention: it is
 forced by Tr(lambda_i lambda_j) = 2 delta_ij.
 
+Validity has one definition: a Hermitian unit-trace rho is a state when its
+vector has q1 = |n|^2 and q2 = 3|n|^2 - 2 n.(n star n) in [-tol, 1 + tol], so
+tol is an absolute slack on q1 and q2.  As c2 = (1 - q1)/3 and c3 = (1 - q2)/27
+are its characteristic-polynomial coefficients, q1, q2 <= 1 is c2, c3 >= 0,
+which is positivity; no gate solves an eigenproblem.
+
 Eigenvalues of 3x3 Hermitian matrices are computed by the closed-form
 trigonometric (Cardano) method, so results are deterministic across platforms
 and need no iterative solver.  Entropy of mixing uses base-3 logarithms,
@@ -16,18 +22,11 @@ import math
 
 import numpy as np
 
-from .bloch import (
-    DEFAULT_TOL,
-    ValidationError,
-    _in_unit_interval,
-    as_bloch_vector,
-    state_constraints,
-)
+from .bloch import DEFAULT_TOL, ValidationError, _require_state, as_bloch_vector
 from .gellmann import _LAMBDA, SQRT3
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
-POSITIVITY_TOL = 1e-10
 
 _EYE3 = np.eye(3)
 _LN3 = math.log(3.0)
@@ -49,22 +48,27 @@ def from_bloch(n, tol: float = DEFAULT_TOL) -> np.ndarray:
     Raises ValidationError naming the violated constraint when n does not
     parametrize a state.
     """
-    n = as_bloch_vector(n)
-    q1, q2 = state_constraints(n)
-    q1_ok, q2_ok = _in_unit_interval((q1, q2), tol)
-    if not q1_ok:
-        raise ValidationError(f"not a state: |n|^2 = {q1:.17g} outside [0, 1]")
-    if not q2_ok:
-        raise ValidationError(
-            f"not a state: 3|n|^2 - 2 n.(n star n) = {q2:.17g} outside [0, 1]"
-        )
-    return bloch_matrix(n)
+    return bloch_matrix(_require_state(n, tol))
 
 
-def to_bloch(rho) -> np.ndarray:
-    """Bloch vector n_j = (sqrt(3)/2) Tr(rho lambda_j) of a density matrix."""
-    rho = validate_density(rho)
-    return (SQRT3 / 2.0) * np.real(np.einsum("ab,jba->j", rho, _LAMBDA))
+def to_bloch(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Bloch vector n_j = (sqrt(3)/2) Tr(rho lambda_j) of a density matrix.
+
+    Raises ValidationError naming the violated invariant: shape, finiteness,
+    Hermiticity, unit trace, or the state constraints of n with slack tol.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (3, 3):
+        raise ValidationError(f"density matrix must be 3x3, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho.view(float))):
+        raise ValidationError("density matrix entries must be finite")
+    herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
+    if herm_dev > HERMITICITY_TOL:
+        raise ValidationError(f"not Hermitian: max |rho - rho^dag| = {herm_dev:.3e}")
+    trace_dev = abs(complex(rho.trace()) - 1.0)
+    if trace_dev > TRACE_TOL:
+        raise ValidationError(f"trace must be 1: |Tr rho - 1| = {trace_dev:.3e}")
+    return _require_state((SQRT3 / 2.0) * np.real(np.einsum("ab,jba->j", rho, _LAMBDA)), tol)
 
 
 def _det3(m: np.ndarray) -> complex:
@@ -143,46 +147,15 @@ def _deflation_polish(a: np.ndarray, rough: np.ndarray) -> np.ndarray:
     return np.sort(np.array([lam, mean + h, mean - h]))[::-1]
 
 
-def validate_density(
-    rho,
-    herm_tol: float = HERMITICITY_TOL,
-    trace_tol: float = TRACE_TOL,
-    eig_tol: float = POSITIVITY_TOL,
-) -> np.ndarray:
-    """Check Hermiticity, unit trace, and positivity; return the array.
-
-    Raises ValidationError naming the violated invariant.  Callers are not
-    trusted: every construction from a raw matrix goes through here.
-    """
-    return _validated_spectrum(rho, herm_tol, trace_tol, eig_tol)[0]
-
-
-def _validated_spectrum(rho, herm_tol, trace_tol, eig_tol) -> tuple[np.ndarray, np.ndarray]:
-    """Run validate_density's checks; return rho and its descending eigenvalues.
-
-    The positivity check computes them, so callers need not solve again.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (3, 3):
-        raise ValidationError(f"density matrix must be 3x3, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho.view(float))):
-        raise ValidationError("density matrix entries must be finite")
-    herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_dev > herm_tol:
-        raise ValidationError(f"not Hermitian: max |rho - rho^dag| = {herm_dev:.3e}")
-    trace_dev = abs(complex(rho.trace()) - 1.0)
-    if trace_dev > trace_tol:
-        raise ValidationError(f"trace must be 1: |Tr rho - 1| = {trace_dev:.3e}")
-    eigenvalues = eigvals_hermitian_3x3(rho)
-    lo = float(eigenvalues[2])
-    if lo < -eig_tol:
-        raise ValidationError(f"not positive semidefinite: min eigenvalue = {lo:.3e}")
-    return rho, eigenvalues
+def validate_density(rho) -> np.ndarray:
+    """Run to_bloch's checks on rho (default tol); return rho as a complex array."""
+    to_bloch(rho)
+    return np.asarray(rho, dtype=complex)
 
 
 def spectrum(rho) -> np.ndarray:
     """Eigenvalues (x1 >= x2 >= x3) of a valid density matrix."""
-    return _validated_spectrum(rho, HERMITICITY_TOL, TRACE_TOL, POSITIVITY_TOL)[1]
+    return eigvals_hermitian_3x3(validate_density(rho))
 
 
 def char_poly_coeffs(rho) -> tuple[float, float, float]:

@@ -13,6 +13,8 @@ import pytest
 from qutrit_bloch.cli import main
 from qutrit_bloch.gellmann import SQRT3
 
+from conftest import bloch_from_rho_oracle
+
 ROOT = Path(__file__).resolve().parents[1]
 ORIGIN = ["0", "0", "0", "0", "0", "0", "0", "0"]
 VERTEX_R = ["0", "0", repr(SQRT3 / 2), "0", "0", "0", "0", "0.5"]
@@ -152,6 +154,22 @@ class TestConvert:
         assert code == 2
         assert "Hermitian" in err
 
+    def test_rho_to_bloch_honours_tol_like_bloch_to_rho(self, capsys, monkeypatch):
+        # Smallest eigenvalue -1e-8: q2 exceeds 1 by about 6.75e-8, outside
+        # the default slack of 1e-9 and inside 1e-6.
+        d = 1e-8
+        rho = np.diag([(1 + d) / 2, (1 + d) / 2, -d]).astype(complex)
+        pairs = json.dumps([[z.real, z.imag] for z in rho.ravel()])
+        vector = [repr(float(v)) for v in bloch_from_rho_oracle(rho)]
+        for extra, want in (([], 2), (["--tol", "1e-6"], 0)):
+            monkeypatch.setattr("sys.stdin", io.StringIO(pairs))
+            code, out, _ = run(capsys, ["convert", "rho-to-bloch", "--stdin", *extra])
+            assert code == want
+            if want == 0:
+                assert json.loads(out)["bloch"] == [float(v) for v in vector]
+            code, _, _ = run(capsys, ["convert", "bloch-to-rho", *vector, *extra])
+            assert code == want
+
     def test_matrix_on_argv_exits_1(self, capsys):
         code, _, _ = run(capsys, ["convert", "rho-to-bloch", "1", "0", "0"])
         assert code == 1
@@ -247,10 +265,13 @@ class TestContour:
                 for p in line:
                     assert abs(diag_entropy(p) - entry["level"]) <= 2 / resolution
 
-    def test_empty_levels_is_empty_success(self, capsys):
-        code, out, _ = run(capsys, ["contour", "--levels", ""])
-        assert code == 0
-        assert json.loads(out)["levels"] == []
+    def test_missing_or_empty_levels_exit_1(self, capsys):
+        for argv in (["contour"], ["contour", "--levels", ""], ["contour", "--levels", ","]):
+            code, out, err = run(capsys, argv)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "--levels" in err
 
     def test_out_of_range_level_exits_1_naming_it(self, capsys):
         code, _, err = run(capsys, ["contour", "--levels", "0.5,1.5"])
@@ -298,6 +319,11 @@ class TestOrbit:
     def test_invalid_state_exits_2(self, capsys):
         code, _, _ = run(capsys, ["orbit", "0", "0", "0", "0", "0", "0", "0", "2", "--count", "1"])
         assert code == 2
+
+    def test_negative_seed_message_names_the_option(self, capsys):
+        code, _, err = run(capsys, ["orbit", *ORIGIN, "--seed", "-1"])
+        assert code == 1
+        assert "--seed" in err and "'-1'" in err
 
     def test_bad_count_exits_1(self, capsys):
         code, _, _ = run(capsys, ["orbit", *ORIGIN, "--count", "0"])

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qutrit_bloch import density
-from qutrit_bloch.bloch import ValidationError, state_constraints
+from qutrit_bloch.adjoint import haar_random_su3
+from qutrit_bloch.bloch import ValidationError, is_mixed_state, state_constraints
+from qutrit_bloch.cli import main
 from qutrit_bloch.gellmann import SQRT3
 from qutrit_bloch.triangle import VERTICES, bloch_from_diag
 
@@ -216,8 +220,8 @@ class TestCharPoly:
 
 
 class TestSingleEigensolve:
-    @pytest.mark.parametrize("fn", [density.spectrum, density.entropy_of_mixing])
-    def test_solves_the_eigenproblem_once(self, fn, monkeypatch):
+    @pytest.fixture
+    def solves(self, monkeypatch):
         calls = []
         solve = density.eigvals_hermitian_3x3
 
@@ -226,8 +230,97 @@ class TestSingleEigensolve:
             return solve(mat)
 
         monkeypatch.setattr(density, "eigvals_hermitian_3x3", counting)
-        fn(density.from_bloch(sample_valid_bloch(np.random.default_rng(47), 1)[0]))
-        assert len(calls) == 1
+        return calls
+
+    @staticmethod
+    def rho():
+        return density.from_bloch(sample_valid_bloch(np.random.default_rng(47), 1)[0])
+
+    @pytest.mark.parametrize("fn", [density.spectrum, density.entropy_of_mixing])
+    def test_solves_the_eigenproblem_once(self, fn, solves):
+        fn(self.rho())
+        assert len(solves) == 1
+
+    @pytest.mark.parametrize(
+        "fn", [density.to_bloch, density.validate_density, density.char_poly_coeffs]
+    )
+    def test_gates_solve_no_eigenproblem(self, fn, solves):
+        fn(self.rho())
+        assert solves == []
+
+
+def _verdict(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except ValidationError:
+        return False
+    return True
+
+
+def _cli_check_exit(n) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(["check", "--", *map(repr, n.tolist())])
+
+
+class TestBoundaryAgreement:
+    """Every gate gives one verdict on states whose smallest eigenvalue is near 0.
+
+    rho = U diag(t (1 - e), (1 - t)(1 - e), e) U^dag with e in [-2e-9, 2e-9]
+    straddles the edge of the default slack: for e < 0, q1 and q2 exceed 1
+    by at most 3|e| and 6.75|e|.
+    """
+
+    @given(
+        t=st.floats(0.0, 1.0),
+        e=st.floats(-2e-9, 2e-9),
+        seed=st.none() | st.integers(0, 2**32 - 1),
+    )
+    @example(t=0.5, e=-1.4e-10, seed=None)  # U = I
+    @example(t=0.5, e=-1.2e-10, seed=20051111)
+    @settings(deadline=None, max_examples=60)
+    def test_gates_agree_near_the_boundary(self, t, e, seed):
+        u = np.eye(3) if seed is None else haar_random_su3(seed)
+        x = np.array([t * (1 - e), (1 - t) * (1 - e), e])
+        n = bloch_from_rho_oracle((u * x) @ u.conj().T)
+        rho = density.bloch_matrix(n)
+        verdicts = [
+            is_mixed_state(n),
+            _verdict(density.from_bloch, n),
+            _verdict(density.to_bloch, rho),
+            _verdict(density.spectrum, rho),
+            _verdict(density.char_poly_coeffs, rho),
+            _cli_check_exit(n) == 0,
+        ]
+        assert len(set(verdicts)) == 1, verdicts
+        if verdicts[0]:
+            back = density.to_bloch(density.from_bloch(n))
+            assert np.max(np.abs(back - n)) <= 1e-13
+
+    def test_slightly_negative_spectra_stay_accepted(self):
+        # Smallest eigenvalue in [-1e-10, 0]: excess on q1, q2 of at most
+        # 6.75e-10, inside the default slack.
+        rng = np.random.default_rng(53)
+        for _ in range(200):
+            e = -rng.uniform(0.0, 1e-10)
+            t = rng.uniform(0.0, 1.0)
+            u = haar_unitary_oracle(rng)
+            x = np.array([t * (1 - e), (1 - t) * (1 - e), e])
+            density.to_bloch((u * x) @ u.conj().T)
+
+    def test_clearly_invalid_matrix_is_rejected_everywhere(self):
+        rho = np.diag([1.2, -0.1, -0.1]).astype(complex)
+        n = bloch_from_rho_oracle(rho)
+        assert not is_mixed_state(n)
+        for fn, arg in (
+            (density.from_bloch, n),
+            (density.to_bloch, rho),
+            (density.validate_density, rho),
+            (density.spectrum, rho),
+            (density.entropy_of_mixing, rho),
+            (density.char_poly_coeffs, rho),
+        ):
+            assert not _verdict(fn, arg)
+        assert _cli_check_exit(n) == 2
 
 
 class TestEntropy:
