@@ -24,6 +24,9 @@ from .bloch import DEFAULT_TOL, ValidationError, _require_state
 from .gellmann import _LAMBDA
 
 UNITARY_TOL = 1e-12
+# orbit_sample draws and rotates this many samples at a time, which bounds its
+# working memory; successive draws continue the same PCG64 stream.
+_ORBIT_CHUNK = 4096
 
 _PAULI = np.array(
     [
@@ -100,9 +103,15 @@ def orbit_sample(n, count: int, seed: int, tol: float = DEFAULT_TOL) -> np.ndarr
     Every output parametrizes a state with the same spectrum as n.  The
     sampler owns a private generator, so concurrent calls with distinct seeds
     are independent and a fixed (n, count, seed) is fully reproducible.
+    Samples are drawn in fixed chunks, which bounds memory; the rows equal
+    one batch drawn from the same generator.
     """
     n = _require_state(n, tol)
     if count < 1:
         raise ValueError("count must be at least 1")
-    unitaries = _haar_special_unitary(3, np.random.default_rng(seed), (count,))
-    return adjoint_su3(unitaries) @ n
+    rng = np.random.default_rng(seed)
+    out = np.empty((count, 8))
+    for start in range(0, count, _ORBIT_CHUNK):
+        block = out[start : start + _ORBIT_CHUNK]
+        block[:] = adjoint_su3(_haar_special_unitary(3, rng, (len(block),))) @ n
+    return out

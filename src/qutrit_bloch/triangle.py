@@ -17,8 +17,10 @@ are the equal mixtures of two vertices; M_BG sits at (-sqrt(3)/4, -1/4), the
 image of (1/2) diag(0, 1, 1).
 
 The module also evaluates the entropy of mixing over the triangle and
-extracts equi-entropy contours by marching squares with per-point bisection
-refinement, so every emitted point meets the requested |E - level| tolerance.
+extracts equi-entropy contours by marching squares: a case table joins the
+crossings of each cell, and Newton steps with a bisection fallback refine
+every crossing at once, so every emitted point meets the requested
+|E - level| tolerance.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bloch import DEFAULT_TOL, ValidationError, _in_unit_interval
-from .density import mixing_entropy
+from .density import _LN3, mixing_entropy
 from .gellmann import SQRT3
 
 
@@ -150,35 +152,81 @@ def entropy_grid(resolution: int, tol: float = DEFAULT_TOL) -> EntropyGrid:
         raise ValueError("resolution must be at least 2")
     n3 = np.linspace(*N3_RANGE, resolution)
     n8 = np.linspace(*N8_RANGE, resolution)
+    # On the broadcast axes the cubes of n8 are taken R times, not R**2 times;
+    # q1 and q2 each mix both axes, so they come out (R, R).
+    q1, q2 = diag_constraints((n3, n8[:, None]))
     x, y = np.meshgrid(n3, n8)
-    q1, q2 = diag_constraints((x, y))
     in_region = _in_unit_interval((q1, q2), tol).all(axis=0)
     entropy = np.where(in_region, mixing_entropy(diag_eigenvalues((x, y))), np.nan)
     return EntropyGrid(n3=n3, n8=n8, q1=q1, q2=q2, in_region=in_region, entropy=entropy)
 
 
-def _refine_crossing(p0, p1, b0, b1, level, tol, max_iter=120) -> DiagPoint:
-    """Locate E = level on the segment [p0, p1] to within tol.
+# The marching-squares case table (Lorensen & Cline 1987).  Cell sides are
+# numbered bottom 0, right 1, top 2, left 3; bit s of a cell's case is set when
+# side s carries a crossing, and row `case` lists the side pairs the cell joins,
+# padded with -1.  One crossing is a dead end at the region boundary.  Four make
+# a saddle: row 15 cuts off the bottom-right and top-left corners, row 16 the
+# other two.
+_CASE_PAIRS = {
+    3: [(0, 1)], 5: [(0, 2)], 6: [(1, 2)], 9: [(0, 3)], 10: [(1, 3)], 12: [(2, 3)],
+    15: [(0, 1), (2, 3)], 16: [(3, 0), (1, 2)],
+}
+_CASES = np.array([(_CASE_PAIRS.get(c, []) + [(-1, -1)] * 2)[:2] for c in range(17)])
 
-    b0 >= 0 > b1 are the endpoint values of E - level.  Starts from the
-    linear interpolant and falls back to bisection; E is smooth along the
-    segment and changes sign, so this terminates.
+
+def _cell_pairs(b, valid) -> np.ndarray:
+    """The (k, 2) crossed-edge ids joined in row-major cell, then case-table order.
+
+    An edge of the grid b (the field minus the level) carries a crossing when
+    both ends are valid and b >= 0 at exactly one.  The edge from flat index i
+    to i + 1 has id i, the one to i + columns has id b.size + i.  A saddle is
+    split by the sign of the average of its four corners.
     """
-    ta, tb = 0.0, 1.0
+    cols = b.shape[1]
+    above = valid & (b >= 0.0)
+    cross_h = valid[:, :-1] & valid[:, 1:] & (above[:, :-1] != above[:, 1:])
+    cross_v = valid[:-1, :] & valid[1:, :] & (above[:-1, :] != above[1:, :])
+    case = 1 * cross_h[:-1] + 2 * cross_v[:, 1:] + 4 * cross_h[1:] + 8 * cross_v[:, :-1]
+    iy, ix = np.nonzero(_CASES[case, 0, 0] >= 0)
+    case = case[iy, ix]
+    saddle = np.nonzero(case == 15)[0]
+    sy, sx = iy[saddle], ix[saddle]
+    center = 0.25 * (b[sy, sx] + b[sy, sx + 1] + b[sy + 1, sx + 1] + b[sy + 1, sx])
+    case[saddle[above[sy, sx] != (center >= 0.0)]] = 16
+    corner = iy * cols + ix
+    side_ids = np.stack([corner, b.size + corner + 1, corner + cols, b.size + corner])
+    sides = _CASES[case]
+    cell, k = np.nonzero(sides[:, :, 0] >= 0)
+    return side_ids[sides[cell, k], cell[:, None]]
+
+
+def _newton_refine(p0, p1, b0, b1, level, tol, max_iter=120) -> np.ndarray:
+    """A point with |E - level| <= tol on each segment [p0, p1], one per column.
+
+    b0 >= 0 > b1 are E - level at the ends.  The weights x of diag_eigenvalues
+    are affine along a segment and sum(dx) = 0, so dE/dt = -sum(dx log x)/ln 3.
+    Each lane starts at the linear interpolant and takes Newton steps; a step
+    that is not finite or leaves its bracket [ta, tb] is a bisection instead.
+    """
+    dx = diag_eigenvalues(p1) - diag_eigenvalues(p0)
     t = b0 / (b0 - b1)
+    ta, tb = np.zeros_like(t), np.ones_like(t)
     for _ in range(1 + max_iter):
         point = (1.0 - t) * p0 + t * p1
-        b = mixing_entropy(diag_eigenvalues(point)) - level
-        if abs(b) <= tol:
-            return DiagPoint(*point)
-        if b >= 0.0:
-            ta = t
-        else:
-            tb = t
-        t = 0.5 * (ta + tb)
-    raise ValidationError(
-        f"contour refinement failed to reach |E - {level}| <= {tol}"
-    )
+        x = diag_eigenvalues(point)
+        e = mixing_entropy(x) - level
+        done = np.abs(e) <= tol
+        if done.all():
+            return point
+        ta = np.where(e >= 0.0, t, ta)
+        tb = np.where(e < 0.0, t, tb)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a weight held at zero along the segment adds nothing to dE/dt
+            slope = np.where(dx == 0.0, 0.0, dx * np.log(x)).sum(axis=0)
+            newton = t + e * _LN3 / slope
+        newton = np.where((ta < newton) & (newton < tb), newton, 0.5 * (ta + tb))
+        t = np.where(done, t, newton)
+    raise ValidationError(f"contour refinement failed to reach |E - {level}| <= {tol}")
 
 
 def equi_entropy_contour(
@@ -188,12 +236,13 @@ def equi_entropy_contour(
 
     Marching squares over the entropy grid.  A cell edge carries a crossing
     when both endpoints are in-region and E - level changes sign across it;
-    cells with exactly two crossings join them, cells with four (saddles) are
+    the case table joins the crossings of each cell, and saddle cells are
     disambiguated by the center value.  Out-of-region grid points never
     contribute, so the curve is clipped at the triangle boundary rather than
-    extrapolated.  Each crossing is bisected along its cell edge until
-    |E - level| <= tol, so every returned vertex satisfies the tolerance.
-    Closed curves repeat their first point at the end.
+    extrapolated.  All crossings are refined at once along their cell edges
+    by Newton steps with a bisection fallback until |E - level| <= tol, so
+    every returned vertex satisfies the tolerance.  Closed curves repeat
+    their first point at the end.
 
     Raises ValidationError when no grid cell brackets the level (the level is
     not attained at this resolution).
@@ -204,108 +253,49 @@ def equi_entropy_contour(
         raise ValueError("tol must be positive")
     grid = entropy_grid(resolution)
     b = grid.entropy - level
-    above = np.where(grid.in_region, b >= 0.0, False)
-    valid = grid.in_region
-
-    crossing_h = valid[:, :-1] & valid[:, 1:] & (above[:, :-1] != above[:, 1:])
-    crossing_v = valid[:-1, :] & valid[1:, :] & (above[:-1, :] != above[1:, :])
-    counts = (
-        crossing_h[:-1, :].astype(int)  # bottom
-        + crossing_h[1:, :]             # top
-        + crossing_v[:, :-1]            # left
-        + crossing_v[:, 1:]             # right
-    )
-    iys, ixs = np.nonzero(counts >= 2)
-    if len(iys) == 0:
+    pairs = _cell_pairs(b, grid.in_region)
+    if len(pairs) == 0:
         raise ValidationError(
             f"level {level} is not bracketed by the entropy grid at resolution {resolution}"
         )
-
-    crossings: dict[tuple, DiagPoint] = {}
-    adjacency: dict[tuple, list[tuple]] = {}
-
-    def crossing_point(edge_id):
-        if edge_id not in crossings:
-            kind, iy, ix = edge_id
-            jy, jx = (iy, ix + 1) if kind == "h" else (iy + 1, ix)
-            p0 = np.array((grid.n3[ix], grid.n8[iy]))
-            p1 = np.array((grid.n3[jx], grid.n8[jy]))
-            b0, b1 = b[iy, ix], b[jy, jx]
-            if b0 < 0.0:  # orient so the first endpoint is the one above
-                p0, p1, b0, b1 = p1, p0, b1, b0
-            crossings[edge_id] = _refine_crossing(p0, p1, b0, b1, level, tol)
-        return crossings[edge_id]
-
-    def connect(ea, eb):
-        crossing_point(ea)
-        crossing_point(eb)
-        adjacency.setdefault(ea, []).append(eb)
-        adjacency.setdefault(eb, []).append(ea)
-
-    for iy, ix in zip(iys.tolist(), ixs.tolist()):
-        edges = {
-            "bottom": ("h", iy, ix),
-            "top": ("h", iy + 1, ix),
-            "left": ("v", iy, ix),
-            "right": ("v", iy, ix + 1),
-        }
-        crossed = [
-            name
-            for name, hit in (
-                ("bottom", crossing_h[iy, ix]),
-                ("right", crossing_v[iy, ix + 1]),
-                ("top", crossing_h[iy + 1, ix]),
-                ("left", crossing_v[iy, ix]),
-            )
-            if hit
-        ]
-        if len(crossed) == 2:
-            connect(edges[crossed[0]], edges[crossed[1]])
-        elif len(crossed) == 4:
-            # Saddle: pair so segments separate the corners opposite in sign
-            # to the cell-center average.
-            center = 0.25 * (b[iy, ix] + b[iy, ix + 1] + b[iy + 1, ix + 1] + b[iy + 1, ix])
-            if bool(above[iy, ix]) == (center >= 0.0):
-                pairs = [("bottom", "right"), ("top", "left")]
-            else:
-                pairs = [("left", "bottom"), ("right", "top")]
-            for name_a, name_b in pairs:
-                connect(edges[name_a], edges[name_b])
-        # a single crossing is a dead end at the region boundary; skip
-
-    return _assemble_polylines(adjacency, crossings)
+    edges, index = np.unique(pairs.ravel(), return_inverse=True)
+    i0 = edges % b.size
+    i1 = i0 + np.where(edges < b.size, 1, resolution)
+    flip = b.flat[i0] < 0.0  # orient so the first endpoint is the one above
+    i0, i1 = np.where(flip, i1, i0), np.where(flip, i0, i1)
+    p0, p1 = (np.array([grid.n3[i % resolution], grid.n8[i // resolution]]) for i in (i0, i1))
+    points = _newton_refine(p0, p1, b.flat[i0], b.flat[i1], level, tol)
+    return _assemble_polylines(index.reshape(-1, 2), points.T.tolist())
 
 
-def _assemble_polylines(adjacency, crossings) -> list[list[DiagPoint]]:
-    """Chain shared cell-edge crossings into open and closed polylines."""
-    used: set[tuple] = set()
+def _assemble_polylines(pairs, points) -> list[list[DiagPoint]]:
+    """Chain the segments pairs[k] between crossings into polylines.
 
-    def link(a, b):
-        return (a, b) if a <= b else (b, a)
-
-    def walk(start):
-        chain = [start]
-        current = start
-        while True:
-            step = None
-            for neighbor in adjacency[current]:
-                if link(current, neighbor) not in used:
-                    step = neighbor
-                    break
-            if step is None:
-                return chain
-            used.add(link(current, step))
-            chain.append(step)
-            current = step
-
+    A crossing joins at most two segments, so the segments form disjoint paths
+    and loops.  Paths are walked first, from their lower end; a loop is walked
+    from its lowest crossing towards the neighbor of its first segment.
+    """
+    adjacency = [[] for _ in points]
+    for a, b in pairs.tolist():
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    points = [DiagPoint(*p) for p in points]
+    seen = [False] * len(points)
     polylines = []
-    endpoints = sorted(e for e, nbrs in adjacency.items() if len(nbrs) == 1)
-    # Open chains first, from their dead ends; what remains are loops.
-    for start in endpoints + sorted(adjacency):
-        if all(link(start, nb) in used for nb in adjacency[start]):
+    ends = [e for e, nbrs in enumerate(adjacency) if len(nbrs) == 1]
+    for start in ends + list(range(len(points))):
+        if seen[start]:
             continue
-        points = [crossings[e] for e in walk(start)]
+        chain = [start]
+        seen[start] = True
+        onward = adjacency[start][:1]
+        while onward:
+            chain.append(onward[0])
+            if seen[onward[0]]:
+                break  # back at the start of a loop
+            seen[onward[0]] = True
+            onward = [nb for nb in adjacency[onward[0]] if nb != chain[-2]]
         if len(adjacency[start]) > 1:
-            points.append(points[0])
-        polylines.append(points)
+            chain.append(start)
+        polylines.append([points[e] for e in chain])
     return polylines

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +217,26 @@ class TestOrbitSample:
             )
             got = adjoint.orbit_sample(n, 64, seed=seed)
             assert np.max(np.abs(got - expected)) <= 1e-15
+
+    def test_chunked_draws_equal_one_batch(self):
+        # The count crosses a chunk boundary; the generator stream continues
+        # from one chunk to the next, so the rows equal one batch bit for bit.
+        n = sample_valid_bloch(np.random.default_rng(79), 1)[0]
+        count = adjoint._ORBIT_CHUNK + 3
+        unitaries = adjoint._haar_special_unitary(3, np.random.default_rng(8), (count,))
+        expected = adjoint.adjoint_su3(unitaries) @ n
+        assert adjoint.orbit_sample(n, count, seed=8).tobytes() == expected.tobytes()
+
+    def test_peak_memory_is_bounded_by_the_chunk(self):
+        # One batch of 20000 held every 8x8 adjoint at once (about 34 MB
+        # traced); in chunks the peak is about 8 MB, of which 1.3 MB is output.
+        tracemalloc.start()
+        try:
+            adjoint.orbit_sample(N_R, 20000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
     def test_reproducible(self):
         a = adjoint.orbit_sample(N_R, 7, seed=42)

@@ -24,6 +24,92 @@ def rotate_120(p):
     return triangle.DiagPoint(c * p[0] - s * p[1], s * p[0] + c * p[1])
 
 
+# d(weights)/d(n3, n8) for diag_eigenvalues, one row per weight
+WEIGHT_JACOBIAN = np.array([[SQRT3 / 3, 1 / 3], [-SQRT3 / 3, 1 / 3], [0.0, -2 / 3]])
+
+
+def reference_contour(level, tol, resolution):
+    """Scalar marching squares: pair each cell's crossings, bisect each one.
+
+    Returns polylines of (point, |dE/ds|) with s the arclength along the cell
+    edge the point lies on.  Edges are keyed (kind, iy, ix) and the polylines
+    are walked from sorted keys, open chains first.
+    """
+    grid = triangle.entropy_grid(resolution)
+    b = (grid.entropy - level).tolist()
+    valid = grid.in_region.tolist()
+    above = (grid.in_region & (grid.entropy >= level)).tolist()
+
+    def ends(edge):
+        kind, iy, ix = edge
+        return (iy, ix), (iy, ix + 1) if kind == "h" else (iy + 1, ix)
+
+    def crossed(edge):
+        (py, px), (qy, qx) = ends(edge)
+        return valid[py][px] and valid[qy][qx] and above[py][px] != above[qy][qx]
+
+    def refine(edge):
+        p, q = ends(edge)
+        if b[p[0]][p[1]] < 0.0:
+            p, q = q, p
+        b0, b1 = b[p[0]][p[1]], b[q[0]][q[1]]
+        a = np.array([grid.n3[p[1]], grid.n8[p[0]]])
+        c = np.array([grid.n3[q[1]], grid.n8[q[0]]])
+        lo, hi, t = 0.0, 1.0, b0 / (b0 - b1)
+        for _ in range(200):
+            point = (1.0 - t) * a + t * c
+            e = density.mixing_entropy(triangle.diag_eigenvalues(point)) - level
+            if abs(e) <= tol:
+                break
+            lo, hi = (t, hi) if e >= 0.0 else (lo, t)
+            t = 0.5 * (lo + hi)
+        else:
+            raise AssertionError("reference bisection did not converge")
+        du = WEIGHT_JACOBIAN @ ((c - a) / np.hypot(*(c - a)))
+        logs = np.log(np.where(du != 0.0, triangle.diag_eigenvalues(point), 1.0))
+        return point, abs(du @ logs) / math.log(3)
+
+    adjacency = {}
+    for iy in range(resolution - 1):
+        for ix in range(resolution - 1):
+            sides = [("h", iy, ix), ("v", iy, ix + 1), ("h", iy + 1, ix), ("v", iy, ix)]
+            hit = [e for e in sides if crossed(e)]
+            if len(hit) == 2:
+                pairs = [hit]
+            elif len(hit) == 4:
+                center = 0.25 * (b[iy][ix] + b[iy][ix + 1] + b[iy + 1][ix + 1] + b[iy + 1][ix])
+                if above[iy][ix] == (center >= 0.0):
+                    pairs = [(sides[0], sides[1]), (sides[2], sides[3])]
+                else:
+                    pairs = [(sides[3], sides[0]), (sides[1], sides[2])]
+            else:
+                pairs = []
+            for ea, eb in pairs:
+                adjacency.setdefault(ea, []).append(eb)
+                adjacency.setdefault(eb, []).append(ea)
+    if not adjacency:
+        raise ValidationError("not bracketed")
+
+    used = set()
+    polylines = []
+    starts = sorted(e for e, nbrs in adjacency.items() if len(nbrs) == 1) + sorted(adjacency)
+    for start in starts:
+        chain, current = [start], start
+        while True:
+            step = next((nb for nb in adjacency[current] if frozenset((current, nb)) not in used), None)
+            if step is None:
+                break
+            used.add(frozenset((current, step)))
+            chain.append(step)
+            current = step
+        if len(chain) == 1:
+            continue
+        if len(adjacency[start]) > 1:
+            chain.append(start)
+        polylines.append([refine(e) for e in chain])
+    return polylines
+
+
 class TestConstraints:
     def test_origin(self):
         assert triangle.diag_constraints((0.0, 0.0)) == (0.0, 0.0)
@@ -257,6 +343,14 @@ class TestEntropyGrid:
             assert np.float64(scalar).view(np.uint64) == grid.entropy[i, j].view(np.uint64)
         assert not np.any(np.signbit(grid.entropy[grid.in_region]))
 
+    @pytest.mark.parametrize("resolution", [64, 101])
+    def test_constraints_match_the_meshgrid_bit_for_bit(self, resolution):
+        grid = triangle.entropy_grid(resolution)
+        q1, q2 = triangle.diag_constraints(np.meshgrid(grid.n3, grid.n8))
+        assert grid.q1.shape == grid.q2.shape == (resolution, resolution)
+        assert grid.q1.tobytes() == q1.tobytes()
+        assert grid.q2.tobytes() == q2.tobytes()
+
     def test_in_region_fraction_near_half(self):
         grid = triangle.entropy_grid(200)
         assert abs(grid.in_region.mean() - 0.5) <= 0.01
@@ -298,6 +392,54 @@ class TestContours:
     def test_rejects_out_of_range_level(self, bad):
         with pytest.raises(ValueError):
             triangle.equi_entropy_contour(bad)
+
+    @pytest.mark.parametrize("resolution", [64, 200, 256])
+    @pytest.mark.parametrize("level", [0.1, 0.33, 0.436, 0.5, 0.95, 0.999])
+    def test_matches_scalar_reference(self, level, resolution):
+        tol = 1e-9
+        expected = reference_contour(level, tol, resolution)
+        lines = triangle.equi_entropy_contour(level, tol, resolution)
+        assert [len(line) for line in lines] == [len(line) for line in expected]
+        for line, ref in zip(lines, expected):
+            assert (line[0] == line[-1]) == np.array_equal(ref[0][0], ref[-1][0])
+            for p, (q, slope) in zip(line, ref):
+                assert abs(triangle.diag_entropy(p) - level) <= tol
+                # both points lie on one cell edge within tol of the level
+                assert math.hypot(p[0] - q[0], p[1] - q[1]) <= 4 * tol / slope
+
+    @pytest.mark.parametrize(
+        ("b", "pairs"),
+        [
+            # above at bottom-left and top-right, corner average 0 >= 0: the
+            # two are joined through the center, cutting off the other two
+            ([[1.0, -1.0], [-1.0, 1.0]], [[0, 5], [2, 4]]),
+            # the same corners, average -0.125 < 0: bottom-left and top-right
+            # are cut off
+            ([[1.0, -1.0], [-1.0, 0.5]], [[4, 0], [5, 2]]),
+            # above at bottom-right and top-left, average 0.125 >= 0
+            ([[-1.0, 1.0], [1.0, -0.5]], [[4, 0], [5, 2]]),
+        ],
+    )
+    def test_saddle_cell_split_by_center_average(self, b, pairs):
+        # one cell; its edge ids are bottom 0, top 2, left 4, right 5
+        got = triangle._cell_pairs(np.array(b), np.ones((2, 2), bool))
+        assert got.tolist() == pairs
+
+    def test_single_crossing_cell_joins_nothing(self):
+        b = np.array([[1.0, -1.0], [np.nan, np.nan]])
+        valid = np.array([[True, True], [False, False]])
+        assert triangle._cell_pairs(b, valid).shape == (0, 2)
+
+    def test_unconverged_lane_raises(self):
+        # From the origin (E = 1) to vertices R and G (E = 0) the linear
+        # interpolant misses E = 0.5; with no further step neither lane converges.
+        p0 = np.zeros((2, 2))
+        p1 = np.array([[SQRT3 / 2, 0.0], [0.5, -1.0]])
+        args = (p0, p1, np.array([0.5, 0.5]), np.array([-0.5, -0.5]), 0.5, 1e-9)
+        with pytest.raises(ValidationError, match="refinement failed"):
+            triangle._newton_refine(*args, max_iter=0)
+        for p in triangle._newton_refine(*args).T:
+            assert abs(triangle.diag_entropy(p) - 0.5) <= 1e-9
 
     def test_unattained_level_is_signaled(self):
         with pytest.raises(ValidationError, match="not bracketed"):
