@@ -5,8 +5,9 @@ Conjugation rho -> U rho U^dag acts on Bloch vectors as the real matrix
     Ad(U)_ij = (1/2) Tr(sigma_i U sigma_j U^dag)        (SU(2) -> SO(3))
     Ad(U)_ij = (1/2) Tr(lambda_i U lambda_j U^dag)      (SU(3) -> SO(8))
 
-computed densely from the trace formula; a (..., dim, dim) stack of unitaries
-gives the matching stack of rotations.  Ad(SU(3)) is only an 8-parameter
+computed by projecting U g_j U^dag with (1/2) Re Tr(g_i .), as orbit_sample
+projects U (n.lambda) U^dag; a (..., dim, dim) stack of unitaries gives the
+matching stack of rotations.  Ad(SU(3)) is only an 8-parameter
 subgroup of SO(8); this module certifies the necessary conditions
 (orthogonality, unit determinant) but does not decide membership.
 
@@ -54,12 +55,16 @@ def _validate_special_unitary(u, dim: int, tol: float = UNITARY_TOL) -> np.ndarr
     return u
 
 
+def _project(m, generators: np.ndarray) -> np.ndarray:
+    """(1/2) Re Tr(g_i m) for each generator g_i, over the trailing (d, d) axes of m."""
+    return 0.5 * np.real(np.einsum("iab,...ba->...i", generators, m))
+
+
 def _adjoint(u, generators: np.ndarray) -> np.ndarray:
     """Ad(U)_ij = (1/2) Tr(g_i U g_j U^dag) for U or a (..., dim, dim) stack."""
-    u = _validate_special_unitary(u, generators.shape[-1])
-    return 0.5 * np.real(
-        np.einsum("iab,...bc,jcd,...ad->...ij", generators, u, generators, u.conj())
-    )
+    u = _validate_special_unitary(u, generators.shape[-1])[..., None, :, :]
+    columns = u @ generators @ u.conj().swapaxes(-1, -2)  # U g_j U^dag
+    return _project(columns, generators).swapaxes(-1, -2)
 
 
 def adjoint_su3(u) -> np.ndarray:
@@ -109,9 +114,12 @@ def orbit_sample(n, count: int, seed: int, tol: float = DEFAULT_TOL) -> np.ndarr
     n = _require_state(n, tol)
     if count < 1:
         raise ValueError("count must be at least 1")
+    # The identity part of rho commutes with U, so only n.lambda is rotated.
+    traceless = np.einsum("j,jab->ab", n, _LAMBDA)
     rng = np.random.default_rng(seed)
     out = np.empty((count, 8))
     for start in range(0, count, _ORBIT_CHUNK):
         block = out[start : start + _ORBIT_CHUNK]
-        block[:] = adjoint_su3(_haar_special_unitary(3, rng, (len(block),))) @ n
+        u = _validate_special_unitary(_haar_special_unitary(3, rng, (len(block),)), 3)
+        block[:] = _project(u @ traceless @ u.conj().swapaxes(-1, -2), _LAMBDA)
     return out

@@ -25,9 +25,9 @@ from .density import bloch_matrix, eigvals_hermitian_3x3, from_bloch, mixing_ent
 from .triangle import (
     N3_RANGE,
     N8_RANGE,
+    _grid_contour,
     bloch_from_diag,
     entropy_grid,
-    equi_entropy_contour,
     named_points,
 )
 
@@ -238,10 +238,8 @@ def _contour_document(resolution: int, contours) -> dict:
 def cmd_contour(ns) -> int:
     if ns.resolution < 2:
         raise UsageError("--resolution must be at least 2")
-    contours = [
-        (level, equi_entropy_contour(level, ns.tol, ns.resolution))
-        for level in _parse_levels(ns.levels)
-    ]
+    grid = entropy_grid(ns.resolution)
+    contours = [(level, _grid_contour(grid, level, ns.tol)) for level in _parse_levels(ns.levels)]
     print(_to_json(_contour_document(ns.resolution, contours)))
     return 0
 

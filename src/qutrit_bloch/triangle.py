@@ -241,17 +241,22 @@ def equi_entropy_contour(
     contribute, so the curve is clipped at the triangle boundary rather than
     extrapolated.  All crossings are refined at once along their cell edges
     by Newton steps with a bisection fallback until |E - level| <= tol, so
-    every returned vertex satisfies the tolerance.  Closed curves repeat
-    their first point at the end.
+    every returned vertex satisfies the tolerance.  A closed curve ends with
+    its first point.
 
     Raises ValidationError when no grid cell brackets the level (the level is
     not attained at this resolution).
     """
+    return _grid_contour(entropy_grid(resolution), level, tol)
+
+
+def _grid_contour(grid: EntropyGrid, level: float, tol: float) -> list[list[DiagPoint]]:
+    """equi_entropy_contour on a grid already built by entropy_grid(resolution)."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"contour level must be in (0, 1), got {level}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    grid = entropy_grid(resolution)
+    resolution = len(grid.n3)
     b = grid.entropy - level
     pairs = _cell_pairs(b, grid.in_region)
     if len(pairs) == 0:
@@ -295,7 +300,5 @@ def _assemble_polylines(pairs, points) -> list[list[DiagPoint]]:
                 break  # back at the start of a loop
             seen[onward[0]] = True
             onward = [nb for nb in adjacency[onward[0]] if nb != chain[-2]]
-        if len(adjacency[start]) > 1:
-            chain.append(start)
         polylines.append([points[e] for e in chain])
     return polylines

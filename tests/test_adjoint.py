@@ -94,6 +94,17 @@ class TestAdjointSU3:
         for u, ad in zip(us, ads.reshape(4, 8, 8)):
             np.testing.assert_array_equal(ad, adjoint.adjoint_su3(u))
 
+    @pytest.mark.parametrize(
+        ("dim", "generators", "ad"),
+        [(3, LAMBDA_REF, adjoint.adjoint_su3), (2, PAULI_REF, adjoint.adjoint_su2)],
+    )
+    def test_stack_matches_four_operand_trace_formula(self, dim, generators, ad):
+        us = adjoint._haar_special_unitary(dim, np.random.default_rng(89), (3, 5))
+        expected = 0.5 * np.real(
+            np.einsum("iab,...bc,jcd,...ad->...ij", generators, us, generators, us.conj())
+        )
+        assert np.max(np.abs(ad(us) - expected)) <= 1e-15
+
     def test_stack_with_one_non_special_member_is_rejected(self):
         us = np.array([adjoint.haar_random_su3(seed) for seed in range(3)])
         us[1] *= np.exp(1j * 0.3)
@@ -218,18 +229,35 @@ class TestOrbitSample:
             got = adjoint.orbit_sample(n, 64, seed=seed)
             assert np.max(np.abs(got - expected)) <= 1e-15
 
+    def test_matches_conjugation_of_the_density_matrix(self):
+        # The paper's definition of the action: rho -> U rho U^dag, read back
+        # as a Bloch vector, with the Haar draws orbit_sample makes.
+        states = [N_R, *sample_valid_bloch(np.random.default_rng(83), 4)]
+        for seed, n in enumerate(states, start=5):
+            rng = np.random.default_rng(seed)
+            rho = density.from_bloch(n)
+            expected = []
+            for _ in range(64):
+                u = adjoint._haar_special_unitary(3, rng)
+                expected.append(density.to_bloch(u @ rho @ u.conj().T))
+            got = adjoint.orbit_sample(n, 64, seed=seed)
+            assert np.max(np.abs(got - np.array(expected))) <= 1e-15
+
     def test_chunked_draws_equal_one_batch(self):
         # The count crosses a chunk boundary; the generator stream continues
         # from one chunk to the next, so the rows equal one batch bit for bit.
         n = sample_valid_bloch(np.random.default_rng(79), 1)[0]
         count = adjoint._ORBIT_CHUNK + 3
         unitaries = adjoint._haar_special_unitary(3, np.random.default_rng(8), (count,))
-        expected = adjoint.adjoint_su3(unitaries) @ n
+        n_lambda = np.einsum("j,jab->ab", n, LAMBDA_REF)
+        rotated = unitaries @ n_lambda @ unitaries.conj().swapaxes(-1, -2)
+        expected = adjoint._project(rotated, LAMBDA_REF)
         assert adjoint.orbit_sample(n, count, seed=8).tobytes() == expected.tobytes()
 
     def test_peak_memory_is_bounded_by_the_chunk(self):
         # One batch of 20000 held every 8x8 adjoint at once (about 34 MB
-        # traced); in chunks the peak is about 8 MB, of which 1.3 MB is output.
+        # traced); in chunks of projected 3x3 conjugates the peak is about
+        # 5.2 MB, of which 1.3 MB is output.
         tracemalloc.start()
         try:
             adjoint.orbit_sample(N_R, 20000, seed=1)

@@ -265,6 +265,26 @@ class TestContour:
                 for p in line:
                     assert abs(diag_entropy(p) - entry["level"]) <= 2 / resolution
 
+    def test_levels_share_one_grid_and_match_the_per_level_path(self, capsys, monkeypatch):
+        from qutrit_bloch import cli, triangle
+
+        levels, resolution = [0.3, 0.6, 0.9], 96
+        per_level = [(lv, triangle.equi_entropy_contour(lv, resolution=resolution)) for lv in levels]
+        expected = cli._to_json(cli._contour_document(resolution, per_level)) + "\n"
+        calls, entropy_grid = [], triangle.entropy_grid
+
+        def counting_grid(*args, **kwargs):
+            calls.append(args)
+            return entropy_grid(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "entropy_grid", counting_grid)
+        monkeypatch.setattr(triangle, "entropy_grid", counting_grid)
+        argv = ["contour", "--levels", "0.3,0.6,0.9", "--resolution", str(resolution)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert len(calls) == 1
+        assert out == expected
+
     def test_missing_or_empty_levels_exit_1(self, capsys):
         for argv in (["contour"], ["contour", "--levels", ""], ["contour", "--levels", ","]):
             code, out, err = run(capsys, argv)
@@ -416,3 +436,16 @@ class TestEntropyLandscapeScript:
         _, contours, _ = run(capsys, ["contour", "--levels", "0.5,0.9", "--resolution", "32"])
         assert (tmp_path / "triangle_grid.csv").read_text() == grid_csv
         assert (tmp_path / "contours.json").read_text() == contours
+
+
+class TestOrbitStatisticsScript:
+    def test_orbit_invariants_hold_to_1e_10(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["orbit_statistics.py", "--count", "20"])
+        runpy.run_path(str(ROOT / "scripts" / "orbit_statistics.py"), run_name="__main__")
+        labels = {"R", "B", "G", "M_RB", "M_RG", "M_BG", "O"}
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        rows = [row for row in rows if row and row[0] in labels]
+        assert {row[0] for row in rows} == labels
+        for label, _, eig_dev, ent_dev, norm_dev, pure in rows:
+            assert max(float(eig_dev), float(ent_dev), float(norm_dev)) <= 1e-10, label
+            assert pure == ("20/20" if label in "RBG" else "0/20")

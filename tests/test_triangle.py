@@ -104,8 +104,6 @@ def reference_contour(level, tol, resolution):
             current = step
         if len(chain) == 1:
             continue
-        if len(adjacency[start]) > 1:
-            chain.append(start)
         polylines.append([refine(e) for e in chain])
     return polylines
 
@@ -370,6 +368,12 @@ class TestContours:
         assert line[0] == line[-1]
         radii = [math.hypot(*p) for p in line]
         assert max(radii) < 0.05
+
+    @pytest.mark.parametrize(("level", "resolution"), [(0.999, 256), (0.5, 64), (0.95, 200)])
+    def test_no_point_repeats_its_predecessor(self, level, resolution):
+        # A closed curve returns to its first point once, not twice.
+        for line in triangle.equi_entropy_contour(level, tol=1e-9, resolution=resolution):
+            assert all(p != q for p, q in zip(line, line[1:]))
 
     def test_mirror_symmetry(self):
         level = 0.7
