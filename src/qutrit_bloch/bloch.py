@@ -84,21 +84,22 @@ def state_constraints(n) -> tuple[float, float]:
 
 def is_pure(n, tol: float = DEFAULT_TOL) -> bool:
     """True when |n|^2 = 1 and n star n = n, both within tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _require_tol(tol)
     n = as_bloch_vector(n)
     if abs(float(np.dot(n, n)) - 1.0) > tol:
         return False
     return float(np.max(np.abs(star(n, n) - n))) <= tol
 
 
-def _in_unit_interval(q, tol: float) -> np.ndarray:
-    """Elementwise -tol <= q <= 1 + tol: the slack every state gate allows.
-
-    Raises ValueError unless tol >= 0 (a NaN tol is rejected too).
-    """
+def _require_tol(tol: float) -> None:
+    """The tol rule of every state predicate: raise ValueError unless tol >= 0 (NaN too)."""
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
+
+
+def _in_unit_interval(q, tol: float) -> np.ndarray:
+    """Elementwise -tol <= q <= 1 + tol: the slack every state gate allows."""
+    _require_tol(tol)
     q = np.asarray(q)
     return (q >= -tol) & (q <= 1.0 + tol)
 

@@ -108,8 +108,15 @@ def _vector_arg(ns) -> np.ndarray:
             raise UsageError(f"expected 8 vector components, got {len(ns.components)}")
         if not all(math.isfinite(v) for v in ns.components):
             raise UsageError("vector components must be finite")
-        return np.array(ns.components)
-    return np.array(_as_number_list(_read_json_source(ns), 8, "Bloch vector"))
+        values = ns.components
+    else:
+        values = _as_number_list(_read_json_source(ns), 8, "Bloch vector")
+    # q2 is cubic in n, so a finite |n|^2 is not enough: a finite |n|^4 keeps
+    # q1, q2 and rho far from overflow.  Python floats overflow without warnings.
+    norm2 = sum(v * v for v in values)
+    if not math.isfinite(norm2 * norm2):
+        raise UsageError(f"vector too large: |n|^2 = {norm2:.17g}, and |n|^4 overflows")
+    return np.array(values)
 
 
 def _matrix_arg(ns) -> np.ndarray:

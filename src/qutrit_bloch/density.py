@@ -10,10 +10,10 @@ tol is an absolute slack on q1 and q2.  As c2 = (1 - q1)/3 and c3 = (1 - q2)/27
 are its characteristic-polynomial coefficients, q1, q2 <= 1 is c2, c3 >= 0,
 which is positivity; no gate solves an eigenproblem.
 
-Eigenvalues of 3x3 Hermitian matrices are computed by the closed-form
-trigonometric (Cardano) method, so results are deterministic across platforms
-and need no iterative solver.  Entropy of mixing uses base-3 logarithms,
-normalizing the maximally mixed state to 1.
+Eigenvalues of 3x3 Hermitian matrices come from LAPACK's symmetric solver
+(np.linalg.eigvalsh) on the Hermitian part, accurate to about 1e-15 even at a
+(near-)double root and byte-identical from run to run.  Entropy of mixing
+uses base-3 logarithms, normalizing the maximally mixed state to 1.
 """
 
 from __future__ import annotations
@@ -71,80 +71,20 @@ def to_bloch(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _require_state((SQRT3 / 2.0) * np.real(np.einsum("ab,jba->j", rho, _LAMBDA)), tol)
 
 
-def _det3(m: np.ndarray) -> complex:
-    return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
-
-
 def eigvals_hermitian_3x3(mat) -> np.ndarray:
-    """Eigenvalues of a 3x3 Hermitian matrix, descending, in closed form.
+    """Eigenvalues of a 3x3 Hermitian matrix, descending.
 
-    Cardano's trigonometric method on the shifted/scaled characteristic
-    polynomial: writing mat = mu*I + p*C with Tr C = 0 and Tr C^2 = 6
-    (p >= 0), the shifted eigenvalues solve y^3 - 3y - 2r = 0 with
-    r = det(C)/2, so with the acos argument clamped to [-1, 1]
-
-        y_k = 2 cos((acos(r) + 2 pi k) / 3),   k = 0, 1, 2.
-
-    Near a double root (r -> +-1) the cubic route alone is only sqrt(eps)
-    accurate, so the roots are polished by one closed-form deflation step:
-    a cross-product eigenvector for the best-separated root, a Rayleigh
-    quotient for that root, and the exact 2x2 solution on the orthogonal
-    complement for the remaining pair.  Everything stays deterministic and
-    solver-free; accuracy is restored to O(eps).
-
-    Only the Hermitian part of mat enters.  No validation is performed here.
+    LAPACK's symmetric solver (np.linalg.eigvalsh) on the Hermitian part of
+    mat, accurate to O(eps) at (near-)degenerate spectra too.  Raises
+    ValidationError on a wrong shape or a non-finite entry; no other
+    validation is performed here.
     """
     a = np.asarray(mat, dtype=complex)
     if a.shape != (3, 3):
         raise ValidationError(f"expected a 3x3 matrix, got shape {a.shape}")
-    a = 0.5 * (a + a.conj().T)
-    mu = a.trace().real / 3.0
-    b = a - mu * _EYE3
-    p2 = (b * b.conj()).real.sum() / 6.0
-    if p2 == 0.0:
-        return np.array([mu, mu, mu])
-    p = math.sqrt(p2)
-    r = (_det3(b).real / (p * p * p)) / 2.0
-    phi = math.acos(min(1.0, max(-1.0, r))) / 3.0
-    e_max = mu + 2.0 * p * math.cos(phi)
-    e_min = mu + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    e_mid = 3.0 * mu - e_max - e_min
-    rough = np.sort(np.array([e_max, e_mid, e_min]))[::-1]
-    return _deflation_polish(a, rough)
-
-
-def _deflation_polish(a: np.ndarray, rough: np.ndarray) -> np.ndarray:
-    """Refine Cardano roots via the best-separated root's eigenvector."""
-    isolated = rough[0] if rough[0] - rough[1] >= rough[1] - rough[2] else rough[2]
-    m = a - isolated * _EYE3
-    crosses = [
-        np.cross(m[0], m[1]),
-        np.cross(m[0], m[2]),
-        np.cross(m[1], m[2]),
-    ]
-    norms = [float(np.linalg.norm(c)) for c in crosses]
-    best = int(np.argmax(norms))
-    if norms[best] == 0.0:  # m is (numerically) rank <= 1; rough roots are fine
-        return rough
-    v = crosses[best] / norms[best]
-    lam = float(np.real(v.conj() @ a @ v))
-    # Orthonormal complement of v, seeded by the two least-aligned axes.
-    order = np.argsort(np.abs(v))
-    w1 = _EYE3[order[0]].astype(complex) - v * np.conj(v[order[0]])
-    w1 /= np.linalg.norm(w1)
-    w2 = _EYE3[order[1]].astype(complex) - v * np.conj(v[order[1]])
-    w2 -= w1 * (w1.conj() @ w2)
-    w2 /= np.linalg.norm(w2)
-    b11 = float(np.real(w1.conj() @ a @ w1))
-    b22 = float(np.real(w2.conj() @ a @ w2))
-    b12 = complex(w1.conj() @ a @ w2)
-    mean = 0.5 * (b11 + b22)
-    h = math.hypot(0.5 * (b11 - b22), abs(b12))
-    return np.sort(np.array([lam, mean + h, mean - h]))[::-1]
+    if not np.all(np.isfinite(a.view(float))):
+        raise ValidationError("matrix entries must be finite")
+    return np.linalg.eigvalsh(0.5 * (a + a.conj().T))[::-1]
 
 
 def validate_density(rho) -> np.ndarray:
@@ -169,7 +109,7 @@ def char_poly_coeffs(rho) -> tuple[float, float, float]:
     c1 = rho.trace().real
     tr2 = np.einsum("ab,ba->", rho, rho).real
     c2 = (c1 * c1 - tr2) / 2.0
-    c3 = _det3(rho).real
+    c3 = np.linalg.det(rho).real
     return float(c1), float(c2), float(c3)
 
 

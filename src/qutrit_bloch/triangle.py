@@ -254,7 +254,7 @@ def _grid_contour(grid: EntropyGrid, level: float, tol: float) -> list[list[Diag
     """equi_entropy_contour on a grid already built by entropy_grid(resolution)."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"contour level must be in (0, 1), got {level}")
-    if tol <= 0:
+    if not tol > 0:  # a convergence target, so 0 is rejected too (and NaN)
         raise ValueError("tol must be positive")
     resolution = len(grid.n3)
     b = grid.entropy - level

@@ -153,9 +153,8 @@ class TestPurity:
         # |e8| = 1 but star(e8, e8) = -e8
         assert not bloch.is_pure(basis_vec(8))
 
-    def test_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            bloch.is_pure(N_R, tol=0.0)
+    def test_zero_tol_is_allowed(self):
+        assert isinstance(bloch.is_pure(N_R, tol=0.0), bool)
 
     def test_matches_projector_oracle(self):
         rng = np.random.default_rng(11)
@@ -195,6 +194,7 @@ class TestMixedState:
             lambda: density.from_bloch(np.zeros(8), tol),
             lambda: triangle.in_triangle((0.0, 0.0), tol),
             lambda: triangle.entropy_grid(3, tol),
+            lambda: bloch.is_pure(np.zeros(8), tol),
         ]
         for gate in gates:
             with pytest.raises(ValueError, match="tol must be nonnegative"):

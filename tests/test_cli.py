@@ -53,6 +53,17 @@ class TestCheck:
         assert doc["entropy"] is None
         assert doc["q1"] == 4.0
 
+    def test_zero_tol_answers(self, capsys):
+        code, out, _ = run(capsys, ["check", *ORIGIN, "--tol", "0"])
+        assert code == 0
+        assert '"is_pure":false' in out
+
+    def test_large_finite_vector_reports_finite_constraints(self, capsys):
+        code, out, _ = run(capsys, ["check", *ORIGIN[:-1], "1e76"])
+        assert code == 2
+        doc = json.loads(out)
+        assert math.isfinite(doc["q1"]) and math.isfinite(doc["q2"])
+
     def test_wrong_component_count_exits_1(self, capsys):
         code, _, err = run(capsys, ["check", "1", "2", "3"])
         assert code == 1
@@ -392,17 +403,23 @@ class TestArgumentErrors:
         "argv",
         [
             ["orbit", *ORIGIN, "--seed", "-1"],
-            ["check", *ORIGIN, "--tol", "0"],
             ["check", *ORIGIN, "--tol", "-1"],
             ["contour", "--levels", "0.5", "--tol", "0"],
             ["triangle", "--resolution", "3", "--tol", "nan"],
+            ["check", "1e200", *ORIGIN[1:]],
+            ["convert", "bloch-to-rho", "1e200", *ORIGIN[1:]],
+            ["orbit", "1e200", *ORIGIN[1:]],
+            ["check", *ORIGIN[:-1], "1e103"],
         ],
         ids=[
             "orbit-negative-seed",
-            "check-zero-tol",
             "check-negative-tol",
             "contour-zero-tol",
             "triangle-nan-tol",
+            "check-overflow",
+            "convert-overflow",
+            "orbit-overflow",
+            "check-cubic-overflow",
         ],
     )
     def test_exits_1_with_one_line_message(self, capsys, argv):
@@ -428,9 +445,19 @@ class TestArgumentErrors:
 
 class TestEntropyLandscapeScript:
     def test_files_match_cli_output(self, capsys, monkeypatch, tmp_path):
+        from qutrit_bloch import triangle
+
         argv = ["--resolution", "11", "--contour-resolution", "32", "--levels", "0.5,0.9"]
         monkeypatch.setattr(sys, "argv", ["entropy_landscape.py", *argv, "--outdir", str(tmp_path)])
+        calls, entropy_grid = [], triangle.entropy_grid
+
+        def counting_grid(*args, **kwargs):
+            calls.append(args)
+            return entropy_grid(*args, **kwargs)
+
+        monkeypatch.setattr(triangle, "entropy_grid", counting_grid)
         runpy.run_path(str(ROOT / "scripts" / "entropy_landscape.py"), run_name="__main__")
+        assert len(calls) == 2  # one grid per resolution, not one per level
         capsys.readouterr()
         _, grid_csv, _ = run(capsys, ["triangle", "--resolution", "11"])
         _, contours, _ = run(capsys, ["contour", "--levels", "0.5,0.9", "--resolution", "32"])

@@ -141,25 +141,33 @@ class TestSpectrum:
             assert xs[2] >= -1e-10
 
 
-class TestClosedFormEigenvalues:
-    def test_against_lapack_on_random_hermitian(self):
+class TestEigenvalues:
+    def test_against_eigvals_on_random_hermitian(self):
+        # np.linalg.eigvals runs LAPACK's general (geev) driver, not eigvalsh's.
         rng = np.random.default_rng(19)
         for _ in range(500):
             m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             a = (m + m.conj().T) / 2
             mine = density.eigvals_hermitian_3x3(a)
-            ref = np.linalg.eigvalsh(a)[::-1]
+            ref = np.sort(np.linalg.eigvals(a).real)[::-1]
             np.testing.assert_allclose(mine, ref, atol=1e-12)
 
-    def test_against_lapack_on_degenerate_spectra(self):
+    def test_against_constructed_spectra(self):
         rng = np.random.default_rng(20)
-        for xs in ([1.0, 0, 0], [0.5, 0.5, 0], [0.4, 0.4, 0.2], [1 / 3] * 3):
+        spectra = [
+            (xs, 1e-12) for xs in ([1.0, 0, 0], [0.5, 0.5, 0], [0.4, 0.4, 0.2], [1 / 3] * 3)
+        ]
+        # Near-degenerate: the lower, then the upper pair split by 1e-16 .. 1e-2.
+        for gap in 10.0 ** -np.arange(2, 17):
+            for x in (rng.uniform(0.0, 1 / 3), rng.uniform(1 / 3, 0.49)):
+                spectra.append(([x + gap, x, 1 - 2 * x - gap], 1e-14))
+        for xs, atol in spectra:
+            expected = np.sort(xs)[::-1]
             for _ in range(100):
                 u = haar_unitary_oracle(rng)
                 a = (u * np.array(xs)) @ u.conj().T
                 mine = density.eigvals_hermitian_3x3(a)
-                ref = np.linalg.eigvalsh(a)[::-1]
-                np.testing.assert_allclose(mine, ref, atol=1e-12)
+                np.testing.assert_allclose(mine, expected, rtol=0, atol=atol)
 
     def test_scalar_matrix_short_circuit(self):
         np.testing.assert_array_equal(density.eigvals_hermitian_3x3(2.5 * np.eye(3)), [2.5] * 3)
@@ -173,8 +181,9 @@ class TestClosedFormEigenvalues:
         )
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValidationError):
-            density.eigvals_hermitian_3x3(np.eye(4))
+        for mat in (np.eye(4), np.full((3, 3), np.nan)):
+            with pytest.raises(ValidationError):
+                density.eigvals_hermitian_3x3(mat)
 
 
 class TestCharPoly:

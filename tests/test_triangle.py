@@ -397,6 +397,11 @@ class TestContours:
         with pytest.raises(ValueError):
             triangle.equi_entropy_contour(bad)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+    def test_rejects_a_tol_that_is_not_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            triangle.equi_entropy_contour(0.5, tol, resolution=16)
+
     @pytest.mark.parametrize("resolution", [64, 200, 256])
     @pytest.mark.parametrize("level", [0.1, 0.33, 0.436, 0.5, 0.95, 0.999])
     def test_matches_scalar_reference(self, level, resolution):
