@@ -32,6 +32,7 @@ from .triangle import (
 )
 
 SCHEMA_VERSION = "1"
+_SAMPLE_ROW = "[" + ",".join(["%.17g"] * 8) + "]"  # one orbit sample in JSON
 
 
 class UsageError(Exception):
@@ -47,8 +48,14 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+class _Raw(str):
+    """JSON text that `_to_json` writes as it is."""
+
+
 def _to_json(obj) -> str:
     """Deterministic JSON with fixed float formatting."""
+    if isinstance(obj, _Raw):
+        return obj
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -91,7 +98,10 @@ def _as_number_list(payload, count: int, what: str) -> list[float]:
     for v in payload:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise UsageError(f"{what} must contain only numbers")
-        values.append(float(v))
+        try:
+            values.append(float(v))
+        except OverflowError:  # a JSON integer beyond the double range
+            raise UsageError(f"{what} components must be finite") from None
     if not all(math.isfinite(v) for v in values):
         raise UsageError(f"{what} components must be finite")
     return values
@@ -163,37 +173,23 @@ def cmd_convert(ns) -> int:
     return 0
 
 
-def _grid_rows(grid):
-    for i8, v8 in enumerate(grid.n8):
-        for i3, v3 in enumerate(grid.n3):
-            inside = bool(grid.in_region[i8, i3])
-            yield (
-                float(v3),
-                float(v8),
-                float(grid.q1[i8, i3]),
-                float(grid.q2[i8, i3]),
-                inside,
-                float(grid.entropy[i8, i3]) if inside else None,
-            )
+def _grid_lines(grid, inside: str, outside: str):
+    """Yield one line per grid point, n8-major.  Both %-templates take the n3
+    and n8 strings and the floats q1, q2; `inside`, the template for points in
+    the region, also takes the entropy."""
+    n3s = [_fmt(v) for v in grid.n3.tolist()]
+    rows = zip(grid.n8.tolist(), grid.q1, grid.q2, grid.in_region, grid.entropy)
+    for v8, q1s, q2s, flags, entropies in rows:
+        n8 = _fmt(v8)
+        points = zip(n3s, q1s.tolist(), q2s.tolist(), flags.tolist(), entropies.tolist())
+        for n3, q1, q2, flag, entropy in points:
+            yield inside % (n3, n8, q1, q2, entropy) if flag else outside % (n3, n8, q1, q2)
 
 
 def _grid_csv(grid) -> str:
     """The grid as CSV text, header first, without a final newline."""
-    lines = ["n3,n8,q1,q2,in_region,entropy"]
-    for n3, n8, q1, q2, inside, entropy in _grid_rows(grid):
-        lines.append(
-            ",".join(
-                [
-                    _fmt(n3),
-                    _fmt(n8),
-                    _fmt(q1),
-                    _fmt(q2),
-                    "true" if inside else "false",
-                    "" if entropy is None else _fmt(entropy),
-                ]
-            )
-        )
-    return "\n".join(lines)
+    lines = _grid_lines(grid, "%s,%s,%.17g,%.17g,true,%.17g", "%s,%s,%.17g,%.17g,false,")
+    return "\n".join(["n3,n8,q1,q2,in_region,entropy", *lines])
 
 
 def cmd_triangle(ns) -> int:
@@ -203,13 +199,16 @@ def cmd_triangle(ns) -> int:
     if ns.format == "csv":
         print(_grid_csv(grid))
     else:
+        rows = _grid_lines(
+            grid, "[%s,%s,%.17g,%.17g,true,%.17g]", "[%s,%s,%.17g,%.17g,false,null]"
+        )
         doc = {
             "schema_version": SCHEMA_VERSION,
             "resolution": ns.resolution,
             "n3_range": list(N3_RANGE),
             "n8_range": list(N8_RANGE),
             "columns": ["n3", "n8", "q1", "q2", "in_region", "entropy"],
-            "rows": [list(row) for row in _grid_rows(grid)],
+            "rows": _Raw("[" + ",".join(rows) + "]"),
         }
         print(_to_json(doc))
     return 0
@@ -261,7 +260,7 @@ def cmd_orbit(ns) -> int:
         "seed": ns.seed,
         "count": ns.count,
         "bloch": list(map(float, n)),
-        "samples": [list(map(float, row)) for row in samples],
+        "samples": _Raw("[" + ",".join(_SAMPLE_ROW % tuple(r) for r in samples.tolist()) + "]"),
     }
     print(_to_json(doc))
     return 0

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qutrit_bloch.adjoint import _ORBIT_CHUNK
 from qutrit_bloch.cli import main
 from qutrit_bloch.gellmann import SQRT3
 
@@ -18,6 +19,7 @@ from conftest import bloch_from_rho_oracle
 ROOT = Path(__file__).resolve().parents[1]
 ORIGIN = ["0", "0", "0", "0", "0", "0", "0", "0"]
 VERTEX_R = ["0", "0", repr(SQRT3 / 2), "0", "0", "0", "0", "0.5"]
+HUGE_INT = 10**400  # a JSON integer that no double holds
 
 
 def run(capsys, argv):
@@ -398,6 +400,79 @@ class TestFloatSerialization:
         assert "qutrit-bloch" in out
 
 
+def _reference_json(obj) -> str:
+    """An independent JSON writer: recursive, 17 significant digits per float."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format(obj, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{_reference_json(v)}" for k, v in obj.items()) + "}"
+    return "[" + ",".join(_reference_json(v) for v in obj) + "]"
+
+
+def _reference_grid_rows(grid):
+    """The grid rows, one element at a time: (n3, n8, q1, q2, inside, entropy or None)."""
+    for i8, v8 in enumerate(grid.n8):
+        for i3, v3 in enumerate(grid.n3):
+            inside = bool(grid.in_region[i8, i3])
+            entropy = float(grid.entropy[i8, i3]) if inside else None
+            q1, q2 = float(grid.q1[i8, i3]), float(grid.q2[i8, i3])
+            yield [float(v3), float(v8), q1, q2, inside, entropy]
+
+
+class TestRowWriterBytes:
+    """The grid and orbit row templates write the bytes of a per-value serializer."""
+
+    @pytest.mark.parametrize("tol", [None, "0"])
+    @pytest.mark.parametrize("resolution", [2, 3, 7, 64, 101])
+    def test_triangle_matches_per_value_serializer(self, capsys, resolution, tol):
+        from qutrit_bloch.bloch import DEFAULT_TOL
+        from qutrit_bloch.triangle import N3_RANGE, N8_RANGE, entropy_grid
+
+        tol_args = [] if tol is None else ["--tol", tol]
+        grid = entropy_grid(resolution, DEFAULT_TOL if tol is None else float(tol))
+        rows = list(_reference_grid_rows(grid))
+        csv_lines = ["n3,n8,q1,q2,in_region,entropy"]
+        for row in rows:
+            fields = [_reference_json(v) for v in row[:5]]
+            csv_lines.append(",".join(fields + ["" if row[5] is None else _reference_json(row[5])]))
+        doc = {
+            "schema_version": "1",
+            "resolution": resolution,
+            "n3_range": list(N3_RANGE),
+            "n8_range": list(N8_RANGE),
+            "columns": ["n3", "n8", "q1", "q2", "in_region", "entropy"],
+            "rows": rows,
+        }
+        argv = ["triangle", "--resolution", str(resolution), *tol_args]
+        assert run(capsys, argv) == (0, "\n".join(csv_lines) + "\n", "")
+        assert run(capsys, [*argv, "--format", "json"]) == (0, _reference_json(doc) + "\n", "")
+
+    @pytest.mark.parametrize("count", [1, 64, _ORBIT_CHUNK + 3])
+    def test_orbit_matches_per_value_serializer(self, capsys, count):
+        from qutrit_bloch.adjoint import orbit_sample
+        from qutrit_bloch.bloch import DEFAULT_TOL
+
+        n = [0.1, 0.2, 0.0, 0.1, 0.0, 0.0, 0.3, -0.1]
+        samples = orbit_sample(np.array(n), count, 3, DEFAULT_TOL)
+        doc = {
+            "schema_version": "1",
+            "seed": 3,
+            "count": count,
+            "bloch": n,
+            "samples": [[float(x) for x in row] for row in samples],
+        }
+        argv = ["orbit", *map(repr, n), "--count", str(count), "--seed", "3"]
+        assert run(capsys, argv) == (0, _reference_json(doc) + "\n", "")
+
+
 class TestArgumentErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -427,6 +502,23 @@ class TestArgumentErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (["check", "--stdin"], [HUGE_INT] + [0] * 7),
+            (["convert", "bloch-to-rho", "--stdin"], [HUGE_INT] + [0] * 7),
+            (["convert", "rho-to-bloch", "--stdin"], [[HUGE_INT, 0]] + [[0, 0]] * 8),
+            (["orbit", "--stdin"], [HUGE_INT] + [0] * 7),
+        ],
+        ids=["check", "convert-bloch-to-rho", "convert-rho-to-bloch", "orbit"],
+    )
+    def test_json_integer_beyond_double_range_exits_1(self, capsys, monkeypatch, argv, payload):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "must be finite" in err and err.count("\n") == 1
 
     def test_closed_pipe_leaves_no_traceback(self):
         path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
