@@ -18,7 +18,7 @@ import numpy as np
 
 from qutrit_bloch.bloch import DEFAULT_TOL
 from qutrit_bloch.cli import _contour_document, _finite_float, _grid_csv, _to_json
-from qutrit_bloch.triangle import _grid_contour, diag_entropy, entropy_grid
+from qutrit_bloch.triangle import _lattice_contour, _lattice_entropy, diag_entropy, entropy_grid
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,11 @@ def main() -> None:
     zero_count = int(np.sum(inside & (np.abs(grid.entropy) <= 1e-12)))
     print(f"zero-entropy grid nodes (pure vertices on the grid): {zero_count}")
 
-    contour_grid = entropy_grid(cfg.contour_resolution)
+    contour_entropy = _lattice_entropy(cfg.contour_resolution - 1)
     contours = []
     mirror_residual = 0.0
     for level in cfg.levels:
-        polylines = _grid_contour(contour_grid, level, cfg.tol)
+        polylines = _lattice_contour(contour_entropy, level, cfg.tol)
         points = sum(len(line) for line in polylines)
         for line in polylines:
             for p in line:

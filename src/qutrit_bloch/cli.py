@@ -25,7 +25,8 @@ from .density import bloch_matrix, eigvals_hermitian_3x3, from_bloch, mixing_ent
 from .triangle import (
     N3_RANGE,
     N8_RANGE,
-    _grid_contour,
+    _lattice_contour,
+    _lattice_entropy,
     bloch_from_diag,
     entropy_grid,
     named_points,
@@ -60,15 +61,15 @@ def _to_json(obj) -> str:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+    if isinstance(obj, int):
+        return str(obj)
     if isinstance(obj, (float, np.floating)):
         return _fmt(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
         return "{" + ",".join(f"{json.dumps(k)}:{_to_json(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, list):
         return "[" + ",".join(_to_json(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -89,6 +90,8 @@ def _read_json_source(ns):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid JSON input: {exc}") from exc
+    except ValueError:  # an integer literal beyond Python's int-string digit limit
+        raise UsageError("invalid JSON input: an integer has too many digits") from None
 
 
 def _as_number_list(payload, count: int, what: str) -> list[float]:
@@ -242,10 +245,8 @@ def _contour_document(resolution: int, contours) -> dict:
 
 
 def cmd_contour(ns) -> int:
-    if ns.resolution < 2:
-        raise UsageError("--resolution must be at least 2")
-    grid = entropy_grid(ns.resolution)
-    contours = [(level, _grid_contour(grid, level, ns.tol)) for level in _parse_levels(ns.levels)]
+    entropy = _lattice_entropy(ns.resolution - 1)  # a ValueError below resolution 2
+    contours = [(lv, _lattice_contour(entropy, lv, ns.tol)) for lv in _parse_levels(ns.levels)]
     print(_to_json(_contour_document(ns.resolution, contours)))
     return 0
 
@@ -337,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contour", help="emit equi-entropy polylines")
     p.add_argument("--levels", required=True, help="comma-separated entropy levels in (0, 1)")
-    p.add_argument("--resolution", type=int, default=256, help="marching-squares grid size")
+    p.add_argument("--resolution", type=int, default=256, help="lattice points per triangle edge")
     _add_tol(p)
     p.set_defaults(func=cmd_contour)
 

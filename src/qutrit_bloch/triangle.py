@@ -17,8 +17,9 @@ are the equal mixtures of two vertices; M_BG sits at (-sqrt(3)/4, -1/4), the
 image of (1/2) diag(0, 1, 1).
 
 The module also evaluates the entropy of mixing over the triangle and
-extracts equi-entropy contours by marching squares: a case table joins the
-crossings of each cell, and Newton steps with a bisection fallback refine
+extracts equi-entropy contours by marching triangles on the triangle's own
+lattice, whose points have the weights (i, j, N - i - j)/N: each lattice cell
+holds at most one segment, and Newton steps with a bisection fallback refine
 every crossing at once, so every emitted point meets the requested
 |E - level| tolerance.
 """
@@ -161,45 +162,6 @@ def entropy_grid(resolution: int, tol: float = DEFAULT_TOL) -> EntropyGrid:
     return EntropyGrid(n3=n3, n8=n8, q1=q1, q2=q2, in_region=in_region, entropy=entropy)
 
 
-# The marching-squares case table (Lorensen & Cline 1987).  Cell sides are
-# numbered bottom 0, right 1, top 2, left 3; bit s of a cell's case is set when
-# side s carries a crossing, and row `case` lists the side pairs the cell joins,
-# padded with -1.  One crossing is a dead end at the region boundary.  Four make
-# a saddle: row 15 cuts off the bottom-right and top-left corners, row 16 the
-# other two.
-_CASE_PAIRS = {
-    3: [(0, 1)], 5: [(0, 2)], 6: [(1, 2)], 9: [(0, 3)], 10: [(1, 3)], 12: [(2, 3)],
-    15: [(0, 1), (2, 3)], 16: [(3, 0), (1, 2)],
-}
-_CASES = np.array([(_CASE_PAIRS.get(c, []) + [(-1, -1)] * 2)[:2] for c in range(17)])
-
-
-def _cell_pairs(b, valid) -> np.ndarray:
-    """The (k, 2) crossed-edge ids joined in row-major cell, then case-table order.
-
-    An edge of the grid b (the field minus the level) carries a crossing when
-    both ends are valid and b >= 0 at exactly one.  The edge from flat index i
-    to i + 1 has id i, the one to i + columns has id b.size + i.  A saddle is
-    split by the sign of the average of its four corners.
-    """
-    cols = b.shape[1]
-    above = valid & (b >= 0.0)
-    cross_h = valid[:, :-1] & valid[:, 1:] & (above[:, :-1] != above[:, 1:])
-    cross_v = valid[:-1, :] & valid[1:, :] & (above[:-1, :] != above[1:, :])
-    case = 1 * cross_h[:-1] + 2 * cross_v[:, 1:] + 4 * cross_h[1:] + 8 * cross_v[:, :-1]
-    iy, ix = np.nonzero(_CASES[case, 0, 0] >= 0)
-    case = case[iy, ix]
-    saddle = np.nonzero(case == 15)[0]
-    sy, sx = iy[saddle], ix[saddle]
-    center = 0.25 * (b[sy, sx] + b[sy, sx + 1] + b[sy + 1, sx + 1] + b[sy + 1, sx])
-    case[saddle[above[sy, sx] != (center >= 0.0)]] = 16
-    corner = iy * cols + ix
-    side_ids = np.stack([corner, b.size + corner + 1, corner + cols, b.size + corner])
-    sides = _CASES[case]
-    cell, k = np.nonzero(sides[:, :, 0] >= 0)
-    return side_ids[sides[cell, k], cell[:, None]]
-
-
 def _newton_refine(p0, p1, b0, b1, level, tol, max_iter=120) -> np.ndarray:
     """A point with |E - level| <= tol on each segment [p0, p1], one per column.
 
@@ -234,42 +196,77 @@ def equi_entropy_contour(
 ) -> list[list[DiagPoint]]:
     """Polylines approximating the equi-entropy set {E = level} in the triangle.
 
-    Marching squares over the entropy grid.  A cell edge carries a crossing
-    when both endpoints are in-region and E - level changes sign across it;
-    the case table joins the crossings of each cell, and saddle cells are
-    disambiguated by the center value.  Out-of-region grid points never
-    contribute, so the curve is clipped at the triangle boundary rather than
-    extrapolated.  All crossings are refined at once along their cell edges
-    by Newton steps with a bisection fallback until |E - level| <= tol, so
-    every returned vertex satisfies the tolerance.  A closed curve ends with
-    its first point.
+    Marching triangles on the triangle's own lattice: the weights of
+    diag_eigenvalues run over (i, j, N - i - j)/N with N = resolution - 1, so
+    resolution counts lattice points per triangle edge and the triangle's
+    edges are lattice edges.  A lattice edge carries a crossing when E - level
+    changes sign across it; a lattice cell then has two crossed edges or
+    none, and joins those two.  All crossings are refined at once along their
+    lattice edges by Newton steps with a bisection fallback until
+    |E - level| <= tol, so every returned vertex satisfies the tolerance.
+    Below log3(2), the entropy at the edge midpoints, the set is three arcs,
+    each cutting off one vertex and ending on two edges; above it, one loop
+    around the origin.  A closed curve ends with its first point.
 
-    Raises ValidationError when no grid cell brackets the level (the level is
-    not attained at this resolution).
+    Raises ValidationError when no lattice cell brackets the level (the level
+    is not attained at this resolution).
     """
-    return _grid_contour(entropy_grid(resolution), level, tol)
+    return _lattice_contour(_lattice_entropy(resolution - 1), level, tol)
 
 
-def _grid_contour(grid: EntropyGrid, level: float, tol: float) -> list[list[DiagPoint]]:
-    """equi_entropy_contour on a grid already built by entropy_grid(resolution)."""
+def _lattice_entropy(n: int) -> np.ndarray:
+    """Entropy at the weights (i, j, n - i - j)/n, as an (n + 1, n + 1) array
+    indexed [i, j]; NaN where i + j > n, off the lattice."""
+    if n < 1:
+        raise ValueError("resolution must be at least 2")
+    k = np.arange(n + 1)
+    rest = n - np.add.outer(k, k)
+    weights = np.broadcast_arrays(k[:, None], k, np.where(rest >= 0, rest, np.nan))
+    return mixing_entropy(np.array(weights) / n)
+
+
+def _lattice_points(flat, n: int) -> np.ndarray:
+    """(n3, n8) of the lattice points at flat indices i (n + 1) + j, one per column.
+
+    n8 = 1.5 (i + j)/n - 1 is written as |sqrt(3) n3| - 1 + 3 min(i, j)/n, and
+    as 0.5 where i + j = n, so that diag_eigenvalues gives an exact 0 weight on
+    every edge of the triangle: where i or j is 0, 1 +/- sqrt(3) n3 + n8 then
+    cancels in floating point.  The weight that vanishes along such an edge
+    stays constant, which keeps the Newton slope of _newton_refine finite.
+    """
+    i, j = np.divmod(flat, n + 1)
+    n3 = SQRT3 / 2 * ((i - j) / n)
+    n8 = (np.abs(SQRT3 * n3) - 1.0) + 3.0 * np.minimum(i, j) / n
+    return np.array([n3, np.where(i + j == n, 0.5, n8)])
+
+
+def _lattice_contour(entropy, level: float, tol: float) -> list[list[DiagPoint]]:
+    """equi_entropy_contour on the lattice entropy built by _lattice_entropy."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"contour level must be in (0, 1), got {level}")
     if not tol > 0:  # a convergence target, so 0 is rejected too (and NaN)
         raise ValueError("tol must be positive")
-    resolution = len(grid.n3)
-    b = grid.entropy - level
-    pairs = _cell_pairs(b, grid.in_region)
-    if len(pairs) == 0:
-        raise ValidationError(
-            f"level {level} is not bracketed by the entropy grid at resolution {resolution}"
-        )
-    edges, index = np.unique(pairs.ravel(), return_inverse=True)
-    i0 = edges % b.size
-    i1 = i0 + np.where(edges < b.size, 1, resolution)
-    flip = b.flat[i0] < 0.0  # orient so the first endpoint is the one above
-    i0, i1 = np.where(flip, i1, i0), np.where(flip, i0, i1)
-    p0, p1 = (np.array([grid.n3[i % resolution], grid.n8[i // resolution]]) for i in (i0, i1))
-    points = _newton_refine(p0, p1, b.flat[i0], b.flat[i1], level, tol)
+    n, size = len(entropy) - 1, entropy.size
+    b = (entropy - level).ravel()
+    above = b >= 0.0
+    # Cell corners by flat index a = i (n + 1) + j: the cell (a, a + 1, a + n + 1)
+    # exists for i + j < n, the cell (a + 1, a + n + 1, a + n + 2) for i + j < n - 1.
+    rank = np.add.outer(np.arange(n + 1), np.arange(n + 1)).ravel()
+    up, down = np.flatnonzero(rank < n), np.flatnonzero(rank < n - 1)
+    cells = np.hstack([(up, up + 1, up + n + 1), (down + n + 2, down + n + 1, down + 1)])
+    side = above[cells]
+    cells = cells[:, (side != side[0]).any(axis=0)]
+    if cells.size == 0:
+        raise ValidationError(f"level {level} is not bracketed at lattice resolution {n + 1}")
+    # a crossed edge has one corner above the level; its id is above * size + below
+    following = np.roll(cells, -1, axis=0)
+    side = above[cells]
+    ids = np.where(side, cells * size + following, following * size + cells)
+    pairs = ids.T[(side != above[following]).T]  # the two crossed edges of each cell, in order
+    edges, index = np.unique(pairs, return_inverse=True)
+    i0, i1 = np.divmod(edges, size)
+    p0, p1 = _lattice_points(i0, n), _lattice_points(i1, n)
+    points = _newton_refine(p0, p1, b[i0], b[i1], level, tol)
     return _assemble_polylines(index.reshape(-1, 2), points.T.tolist())
 
 

@@ -284,14 +284,14 @@ class TestContour:
         levels, resolution = [0.3, 0.6, 0.9], 96
         per_level = [(lv, triangle.equi_entropy_contour(lv, resolution=resolution)) for lv in levels]
         expected = cli._to_json(cli._contour_document(resolution, per_level)) + "\n"
-        calls, entropy_grid = [], triangle.entropy_grid
+        calls, lattice_entropy = [], triangle._lattice_entropy
 
-        def counting_grid(*args, **kwargs):
+        def counting_lattice(*args, **kwargs):
             calls.append(args)
-            return entropy_grid(*args, **kwargs)
+            return lattice_entropy(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "entropy_grid", counting_grid)
-        monkeypatch.setattr(triangle, "entropy_grid", counting_grid)
+        monkeypatch.setattr(cli, "_lattice_entropy", counting_lattice)
+        monkeypatch.setattr(triangle, "_lattice_entropy", counting_lattice)
         argv = ["contour", "--levels", "0.3,0.6,0.9", "--resolution", str(resolution)]
         code, out, _ = run(capsys, argv)
         assert code == 0
@@ -480,6 +480,7 @@ class TestArgumentErrors:
             ["orbit", *ORIGIN, "--seed", "-1"],
             ["check", *ORIGIN, "--tol", "-1"],
             ["contour", "--levels", "0.5", "--tol", "0"],
+            ["contour", "--levels", "0.5", "--resolution", "1"],
             ["triangle", "--resolution", "3", "--tol", "nan"],
             ["check", "1e200", *ORIGIN[1:]],
             ["convert", "bloch-to-rho", "1e200", *ORIGIN[1:]],
@@ -490,6 +491,7 @@ class TestArgumentErrors:
             "orbit-negative-seed",
             "check-negative-tol",
             "contour-zero-tol",
+            "contour-resolution-1",
             "triangle-nan-tol",
             "check-overflow",
             "convert-overflow",
@@ -520,6 +522,14 @@ class TestArgumentErrors:
         assert out == ""
         assert err.startswith("error: ") and "must be finite" in err and err.count("\n") == 1
 
+    def test_json_integer_beyond_digit_limit_exits_1(self, capsys, monkeypatch):
+        # json.loads raises a plain ValueError for an int literal over 4300 digits
+        monkeypatch.setattr("sys.stdin", io.StringIO("[1" + "0" * 5000 + ",0,0,0,0,0,0,0]"))
+        code, out, err = run(capsys, ["check", "--stdin"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: invalid JSON input") and err.count("\n") == 1
+
     def test_closed_pipe_leaves_no_traceback(self):
         path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
         env = dict(os.environ, PYTHONPATH=path)
@@ -541,15 +551,15 @@ class TestEntropyLandscapeScript:
 
         argv = ["--resolution", "11", "--contour-resolution", "32", "--levels", "0.5,0.9"]
         monkeypatch.setattr(sys, "argv", ["entropy_landscape.py", *argv, "--outdir", str(tmp_path)])
-        calls, entropy_grid = [], triangle.entropy_grid
+        calls, lattice_entropy = [], triangle._lattice_entropy
 
-        def counting_grid(*args, **kwargs):
+        def counting_lattice(*args, **kwargs):
             calls.append(args)
-            return entropy_grid(*args, **kwargs)
+            return lattice_entropy(*args, **kwargs)
 
-        monkeypatch.setattr(triangle, "entropy_grid", counting_grid)
+        monkeypatch.setattr(triangle, "_lattice_entropy", counting_lattice)
         runpy.run_path(str(ROOT / "scripts" / "entropy_landscape.py"), run_name="__main__")
-        assert len(calls) == 2  # one grid per resolution, not one per level
+        assert calls == [(31,)]  # one lattice per run, not one per level
         capsys.readouterr()
         _, grid_csv, _ = run(capsys, ["triangle", "--resolution", "11"])
         _, contours, _ = run(capsys, ["contour", "--levels", "0.5,0.9", "--resolution", "32"])

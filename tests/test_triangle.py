@@ -24,69 +24,61 @@ def rotate_120(p):
     return triangle.DiagPoint(c * p[0] - s * p[1], s * p[0] + c * p[1])
 
 
-# d(weights)/d(n3, n8) for diag_eigenvalues, one row per weight
-WEIGHT_JACOBIAN = np.array([[SQRT3 / 3, 1 / 3], [-SQRT3 / 3, 1 / 3], [0.0, -2 / 3]])
+def scalar_entropy(weights):
+    return -sum(x * math.log(x) for x in weights if x > 0.0) / math.log(3)
+
+
+def weights_to_point(w):
+    return (SQRT3 / 2 * (w[0] - w[1]), (w[0] + w[1]) / 2 - w[2])
 
 
 def reference_contour(level, tol, resolution):
-    """Scalar marching squares: pair each cell's crossings, bisect each one.
+    """Scalar marching triangles on the lattice of weights (i, j, n - i - j)/n.
 
-    Returns polylines of (point, |dE/ds|) with s the arclength along the cell
-    edge the point lies on.  Edges are keyed (kind, iy, ix) and the polylines
-    are walked from sorted keys, open chains first.
+    Each cell with two crossed edges joins them; each crossing is bisected in
+    weight space.  Returns polylines of (point, |dE/ds|) with s the arclength
+    along the lattice edge the point lies on.  An edge is keyed by its corners
+    (i, j), the one above the level first, and the polylines are walked from
+    sorted keys, open chains first.
     """
-    grid = triangle.entropy_grid(resolution)
-    b = (grid.entropy - level).tolist()
-    valid = grid.in_region.tolist()
-    above = (grid.in_region & (grid.entropy >= level)).tolist()
-
-    def ends(edge):
-        kind, iy, ix = edge
-        return (iy, ix), (iy, ix + 1) if kind == "h" else (iy + 1, ix)
-
-    def crossed(edge):
-        (py, px), (qy, qx) = ends(edge)
-        return valid[py][px] and valid[qy][qx] and above[py][px] != above[qy][qx]
+    n = resolution - 1
+    weights = {
+        (i, j): (i / n, j / n, (n - i - j) / n) for i in range(n + 1) for j in range(n + 1 - i)
+    }
+    above = {v: scalar_entropy(w) >= level for v, w in weights.items()}
 
     def refine(edge):
-        p, q = ends(edge)
-        if b[p[0]][p[1]] < 0.0:
-            p, q = q, p
-        b0, b1 = b[p[0]][p[1]], b[q[0]][q[1]]
-        a = np.array([grid.n3[p[1]], grid.n8[p[0]]])
-        c = np.array([grid.n3[q[1]], grid.n8[q[0]]])
-        lo, hi, t = 0.0, 1.0, b0 / (b0 - b1)
+        wu, wv = weights[edge[0]], weights[edge[1]]
+        lo, hi = 0.0, 1.0
         for _ in range(200):
-            point = (1.0 - t) * a + t * c
-            e = density.mixing_entropy(triangle.diag_eigenvalues(point)) - level
+            t = 0.5 * (lo + hi)
+            w = [(1.0 - t) * a + t * b for a, b in zip(wu, wv)]
+            e = scalar_entropy(w) - level
             if abs(e) <= tol:
                 break
             lo, hi = (t, hi) if e >= 0.0 else (lo, t)
-            t = 0.5 * (lo + hi)
         else:
             raise AssertionError("reference bisection did not converge")
-        du = WEIGHT_JACOBIAN @ ((c - a) / np.hypot(*(c - a)))
-        logs = np.log(np.where(du != 0.0, triangle.diag_eigenvalues(point), 1.0))
-        return point, abs(du @ logs) / math.log(3)
+        # a unit step along a lattice edge (length sqrt(3)/n) moves the weights
+        # by (v - u) n / sqrt(3)
+        dw = [(b - a) * n / SQRT3 for a, b in zip(wu, wv)]
+        slope = sum(d * math.log(x) for d, x in zip(dw, w) if d != 0.0)
+        return weights_to_point(w), abs(slope) / math.log(3)
 
     adjacency = {}
-    for iy in range(resolution - 1):
-        for ix in range(resolution - 1):
-            sides = [("h", iy, ix), ("v", iy, ix + 1), ("h", iy + 1, ix), ("v", iy, ix)]
-            hit = [e for e in sides if crossed(e)]
-            if len(hit) == 2:
-                pairs = [hit]
-            elif len(hit) == 4:
-                center = 0.25 * (b[iy][ix] + b[iy][ix + 1] + b[iy + 1][ix + 1] + b[iy + 1][ix])
-                if above[iy][ix] == (center >= 0.0):
-                    pairs = [(sides[0], sides[1]), (sides[2], sides[3])]
-                else:
-                    pairs = [(sides[3], sides[0]), (sides[1], sides[2])]
-            else:
-                pairs = []
-            for ea, eb in pairs:
-                adjacency.setdefault(ea, []).append(eb)
-                adjacency.setdefault(eb, []).append(ea)
+    for i in range(n):
+        for j in range(n - i):
+            cells = [((i, j), (i, j + 1), (i + 1, j))]
+            if i + j < n - 1:
+                cells.append(((i + 1, j), (i, j + 1), (i + 1, j + 1)))
+            for cell in cells:
+                sides = [(cell[a], cell[b]) for a, b in ((0, 1), (1, 2), (0, 2))]
+                hit = [e if above[e[0]] else e[::-1] for e in sides if above[e[0]] != above[e[1]]]
+                assert len(hit) in (0, 2)
+                if hit:
+                    ea, eb = hit
+                    adjacency.setdefault(ea, []).append(eb)
+                    adjacency.setdefault(eb, []).append(ea)
     if not adjacency:
         raise ValidationError("not bracketed")
 
@@ -106,6 +98,21 @@ def reference_contour(level, tol, resolution):
             continue
         polylines.append([refine(e) for e in chain])
     return polylines
+
+
+def same_polyline(a, b, delta):
+    """a and b trace the same points within delta, in either direction and,
+    when closed, from any start."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        return False
+    candidates = [b, b[::-1]]
+    if np.array_equal(a[0], a[-1]):
+        a = a[:-1]
+        candidates = [
+            np.roll(c, -np.argmin(np.hypot(*(c - a[0]).T)), axis=0) for c in (b[:-1], b[-2::-1])
+        ]
+    return any(np.abs(c - a).max() <= delta for c in candidates)
 
 
 class TestConstraints:
@@ -410,34 +417,36 @@ class TestContours:
         lines = triangle.equi_entropy_contour(level, tol, resolution)
         assert [len(line) for line in lines] == [len(line) for line in expected]
         for line, ref in zip(lines, expected):
-            assert (line[0] == line[-1]) == np.array_equal(ref[0][0], ref[-1][0])
+            closed = line[0] == line[-1]
+            assert closed == (ref[0][0] == ref[-1][0])
+            if closed and math.dist(line[1], ref[1][0]) > math.dist(line[1], ref[-2][0]):
+                ref = ref[::-1]  # a loop may run either way from its first point
             for p, (q, slope) in zip(line, ref):
                 assert abs(triangle.diag_entropy(p) - level) <= tol
-                # both points lie on one cell edge within tol of the level
-                assert math.hypot(p[0] - q[0], p[1] - q[1]) <= 4 * tol / slope
+                # both points lie on one lattice edge within tol of the level
+                assert math.dist(p, q) <= 4 * tol / slope
 
-    @pytest.mark.parametrize(
-        ("b", "pairs"),
-        [
-            # above at bottom-left and top-right, corner average 0 >= 0: the
-            # two are joined through the center, cutting off the other two
-            ([[1.0, -1.0], [-1.0, 1.0]], [[0, 5], [2, 4]]),
-            # the same corners, average -0.125 < 0: bottom-left and top-right
-            # are cut off
-            ([[1.0, -1.0], [-1.0, 0.5]], [[4, 0], [5, 2]]),
-            # above at bottom-right and top-left, average 0.125 >= 0
-            ([[-1.0, 1.0], [1.0, -0.5]], [[4, 0], [5, 2]]),
-        ],
-    )
-    def test_saddle_cell_split_by_center_average(self, b, pairs):
-        # one cell; its edge ids are bottom 0, top 2, left 4, right 5
-        got = triangle._cell_pairs(np.array(b), np.ones((2, 2), bool))
-        assert got.tolist() == pairs
-
-    def test_single_crossing_cell_joins_nothing(self):
-        b = np.array([[1.0, -1.0], [np.nan, np.nan]])
-        valid = np.array([[True, True], [False, False]])
-        assert triangle._cell_pairs(b, valid).shape == (0, 2)
+    @pytest.mark.parametrize("resolution", [64, 256, 1024])
+    @pytest.mark.parametrize("level", [0.1, 0.3, 0.5, 0.6, 0.63, 0.7, 0.9, 0.999])
+    def test_three_arcs_below_log3_2_one_loop_above(self, level, resolution):
+        lines = triangle.equi_entropy_contour(level, resolution=resolution)
+        closed = [line[0] == line[-1] for line in lines]
+        if level < LOG3_2:
+            assert closed == [False] * 3
+            # each arc ends on the two edges at one vertex and cuts it off
+            cut = set()
+            for line in lines:
+                ends = np.abs([triangle.diag_eigenvalues(line[k]) for k in (0, -1)])
+                assert ends.min(axis=1).max() <= 1e-15
+                on_edges = set(ends.argmin(axis=1).tolist())
+                assert len(on_edges) == 2
+                cut |= {0, 1, 2} - on_edges
+            assert cut == {0, 1, 2}
+        else:
+            assert closed == [True]
+        for line in lines:
+            rotated = [rotate_120(p) for p in line]
+            assert any(same_polyline(rotated, other, 1e-6) for other in lines)
 
     def test_unconverged_lane_raises(self):
         # From the origin (E = 1) to vertices R and G (E = 0) the linear
