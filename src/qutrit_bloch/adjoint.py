@@ -112,6 +112,8 @@ def orbit_sample(n, count: int, seed: int, tol: float = DEFAULT_TOL) -> np.ndarr
     one batch drawn from the same generator.
     """
     n = _require_state(n, tol)
+    if n.shape != (8,):
+        raise ValidationError(f"orbit_sample takes one Bloch vector, got shape {n.shape}")
     if count < 1:
         raise ValueError("count must be at least 1")
     # The identity part of rho commutes with U, so only n.lambda is rotated.

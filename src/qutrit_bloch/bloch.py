@@ -14,6 +14,13 @@ in terms of which state membership is polynomial:
 
 Both predicates accept a tolerance; boundary states (pure states, edges of
 the diagonal triangle) classify as valid under the symmetric slack.
+
+Every function but geodesic_distance takes a (..., 8) stack as well as one
+vector and broadcasts over the leading axes; one (8,) vector gives the same
+Python types and the same bits as a scalar-only implementation would.  Each public call validates
+its input once, and the kernels behind it run on the validated array.  n star
+n, the cubic term of every state gate, is `_self_star`, and it and a star b
+share the one d-contraction, `_d_contract`.
 """
 
 from __future__ import annotations
@@ -26,69 +33,130 @@ from .gellmann import _D_DENSE, _F_DENSE, SQRT3
 
 DEFAULT_TOL = 1e-9
 
+# No step of q1 and q2 overflows while every component is at most this large:
+# q1 <= 8e200 and |n.(n star n)| < 1e303.
+_SAFE = 1e100
+
+# The messages of _require_state, for q1 and q2.
+_NOT_A_STATE = tuple(
+    f"not a state: {name} = {{:.17g}} outside [0, 1] (not positive semidefinite)"
+    for name in ("|n|^2", "3|n|^2 - 2 n.(n star n)")
+)
+
 
 class ValidationError(ValueError):
     """A quantity failed one of its domain invariants."""
 
 
-def as_bloch_vector(values) -> np.ndarray:
-    """Coerce to a shape-(8,) float array, rejecting non-finite entries."""
+def _checked(values) -> tuple[np.ndarray, bool]:
+    """as_bloch_vector(values), and whether no component exceeds _SAFE.
+
+    One reduction answers both: the bound fails on NaN and inf too, and only
+    then does the finiteness test run.
+    """
     n = np.asarray(values, dtype=float)
-    if n.shape != (8,):
+    if n.shape[-1:] != (8,):
         raise ValidationError(f"Bloch vector must have 8 components, got shape {n.shape}")
-    if not np.all(np.isfinite(n)):
+    safe = bool(np.abs(n).max(initial=0.0) <= _SAFE)
+    if not safe and not np.isfinite(n).all():
         raise ValidationError("Bloch vector components must be finite")
-    return n
+    return n, safe
 
 
-def dot(a, b) -> float:
-    """Euclidean inner product of two 8-vectors."""
-    return float(np.dot(as_bloch_vector(a), as_bloch_vector(b)))
+def as_bloch_vector(values) -> np.ndarray:
+    """Coerce to a (..., 8) float array, rejecting non-finite entries."""
+    return _checked(values)[0]
+
+
+def _every(ok) -> bool:
+    """ok.all() for an array, bool(ok) for one (numpy) bool, which skips a slow reduction."""
+    return bool(ok.all()) if isinstance(ok, np.ndarray) else bool(ok)
+
+
+def _d_contract(sym) -> np.ndarray:
+    """sqrt(3) d_jkl s_kl for a symmetric (..., 8, 8) stack s."""
+    return SQRT3 * np.einsum("jkl,...kl->...j", _D_DENSE, sym)
+
+
+def _self_star(n) -> np.ndarray:
+    """n star n of a validated (..., 8) array; equal bit for bit to star(n, n)."""
+    return _d_contract(n[..., :, None] * n[..., None, :])
+
+
+def _constraints(n, safe: bool):
+    """(q1, q2) of a validated (..., 8) array; safe as _checked reports it.
+
+    Unless safe, n = s m with s the largest |component| of each vector beyond
+    _SAFE and 1.0 (exact) for the rest, so q1 = s^2 |m|^2 and
+    q2 = s^2 (3 |m|^2 - 2 s m.(m star m)) overflow only in their last products.
+    """
+    if safe:  # np.vecdot gives np.dot's bits on every vector
+        q1 = np.vecdot(n, n)
+        return q1, 3.0 * q1 - 2.0 * np.vecdot(n, _self_star(n))
+    top = np.abs(n).max(axis=-1)
+    s = np.where(top <= _SAFE, 1.0, top)
+    m = n / s[..., None]
+    q1 = np.vecdot(m, m)
+    c = np.vecdot(m, _self_star(m))
+    with np.errstate(over="ignore"):
+        return s * s * q1, s * (s * (3.0 * q1 - 2.0 * (s * c)))
+
+
+def dot(a, b):
+    """Euclidean inner product of two 8-vectors; stacks broadcast."""
+    d = np.vecdot(as_bloch_vector(a), as_bloch_vector(b))
+    return float(d) if d.ndim == 0 else d
 
 
 def wedge(a, b) -> np.ndarray:
-    """Antisymmetric wedge product sqrt(3) f_jkl a_k b_l.
+    """Antisymmetric wedge product sqrt(3) f_jkl a_k b_l; stacks broadcast.
 
     Contracts f with the antisymmetrized outer product (f kills the symmetric
     part anyway), so wedge(a, b) == -wedge(b, a) holds bitwise.
     """
     a = as_bloch_vector(a)
     b = as_bloch_vector(b)
-    anti = 0.5 * (np.outer(a, b) - np.outer(b, a))
-    return SQRT3 * np.einsum("jkl,kl->j", _F_DENSE, anti)
+    anti = 0.5 * (a[..., :, None] * b[..., None, :] - b[..., :, None] * a[..., None, :])
+    return SQRT3 * np.einsum("jkl,...kl->...j", _F_DENSE, anti)
 
 
 def star(a, b) -> np.ndarray:
-    """Symmetric star product sqrt(3) d_jkl a_k b_l.
+    """Symmetric star product sqrt(3) d_jkl a_k b_l; stacks broadcast.
 
     Contracts d with the symmetrized outer product, so star(a, b) ==
     star(b, a) holds bitwise.
     """
     a = as_bloch_vector(a)
     b = as_bloch_vector(b)
-    sym = 0.5 * (np.outer(a, b) + np.outer(b, a))
-    return SQRT3 * np.einsum("jkl,kl->j", _D_DENSE, sym)
+    return _d_contract(0.5 * (a[..., :, None] * b[..., None, :] + b[..., :, None] * a[..., None, :]))
 
 
-def state_constraints(n) -> tuple[float, float]:
+def state_constraints(n):
     """The two polynomial state functionals (q1, q2).
 
     q1 = |n|^2 and q2 = 3|n|^2 - 2 n.(n star n); n parametrizes a density
-    matrix exactly when both lie in [0, 1].
+    matrix exactly when both lie in [0, 1].  One vector gives two floats, a
+    (..., 8) stack two arrays of shape (...).  A value too large for a double
+    reads +-inf.
     """
-    n = as_bloch_vector(n)
-    q1 = float(np.dot(n, n))
-    q2 = 3.0 * q1 - 2.0 * float(np.dot(n, star(n, n)))
-    return q1, q2
+    n, safe = _checked(n)
+    q1, q2 = _constraints(n, safe)
+    return (float(q1), float(q2)) if n.ndim == 1 else (q1, q2)
 
 
-def is_pure(n, tol: float = DEFAULT_TOL) -> bool:
-    """True when |n|^2 = 1 and n star n = n, both within tol."""
+def is_pure(n, tol: float = DEFAULT_TOL):
+    """True when |n|^2 = 1 and n star n = n, both within tol; stacks broadcast."""
     _require_tol(tol)
-    n = as_bloch_vector(n)
-    if abs(float(np.dot(n, n)) - 1.0) > tol:
-        return False
-    return float(np.max(np.abs(star(n, n) - n))) <= tol
+    n, safe = _checked(n)
+    q1 = np.vecdot(n, n) if safe else _constraints(n, safe)[0]
+    pure = abs(q1 - 1.0) <= tol
+    if not _every(~pure):
+        if not safe:
+            # Zero each vector beyond _SAFE, whose star product would overflow;
+            # its |n|^2 passes the test above only at a tol of 1e200 or more.
+            n = np.where((np.abs(n) <= _SAFE).all(axis=-1)[..., None], n, 0.0)
+        pure &= np.abs(_self_star(n) - n).max(axis=-1) <= tol
+    return bool(pure) if n.ndim == 1 else pure
 
 
 def _require_tol(tol: float) -> None:
@@ -97,32 +165,53 @@ def _require_tol(tol: float) -> None:
         raise ValueError("tol must be nonnegative")
 
 
-def _in_unit_interval(q, tol: float) -> np.ndarray:
+def _in_unit_interval(q, tol: float):
     """Elementwise -tol <= q <= 1 + tol: the slack every state gate allows."""
     _require_tol(tol)
-    q = np.asarray(q)
     return (q >= -tol) & (q <= 1.0 + tol)
 
 
-def is_mixed_state(n, tol: float = DEFAULT_TOL) -> bool:
-    """True when both state constraints lie in [-tol, 1 + tol].
+def _require_all(checks) -> None:
+    """Raise for the first entry, in C order, that fails one of the checks.
+
+    checks are (ok, value, message) triples over one shape, in the order one
+    entry is checked; the entry's first failing check gives the message.
+    """
+    ok = checks[0][0]
+    for passed, _, _ in checks[1:]:
+        ok = ok & passed
+    if _every(ok):
+        return
+    first = np.argmin(ok)
+    for passed, value, message in checks:
+        if not np.ravel(passed)[first]:
+            raise ValidationError(message.format(np.ravel(value)[first]))
+
+
+def is_mixed_state(n, tol: float = DEFAULT_TOL):
+    """True when both state constraints lie in [-tol, 1 + tol]; stacks broadcast.
 
     Covers every density matrix, pure states included; the name follows the
     mixed-state parametrization the constraints were derived from.
     """
-    return bool(_in_unit_interval(state_constraints(n), tol).all())
+    q1, q2 = state_constraints(n)
+    return _in_unit_interval(q1, tol) & _in_unit_interval(q2, tol)
 
 
 def _require_state(n, tol: float) -> np.ndarray:
-    """Return n if is_mixed_state(n, tol), else raise naming the violated constraint."""
-    n = as_bloch_vector(n)
-    q = state_constraints(n)
-    names = ("|n|^2", "3|n|^2 - 2 n.(n star n)")
-    for name, value, ok in zip(names, q, _in_unit_interval(q, tol)):
-        if not ok:
-            raise ValidationError(
-                f"not a state: {name} = {value:.17g} outside [0, 1] (not positive semidefinite)"
-            )
+    """Return n as an array if is_mixed_state(n, tol) holds throughout.
+
+    Otherwise raise for the first failing vector in C order, naming the first
+    constraint it violates.
+    """
+    n, safe = _checked(n)
+    q1, q2 = _constraints(n, safe)
+    _require_all(
+        [
+            (_in_unit_interval(q1, tol), q1, _NOT_A_STATE[0]),
+            (_in_unit_interval(q2, tol), q2, _NOT_A_STATE[1]),
+        ]
+    )
     return n
 
 
@@ -132,8 +221,11 @@ def geodesic_distance(n, m, tol: float = DEFAULT_TOL) -> float:
     For orthogonal pure states n.m = -1/2, so the angle is 2*pi/3.  The
     arccos argument is clamped to [-1, 1] to absorb round-off.  Reported as
     the plain 8-vector angle; no projective-metric scale factor is applied.
+    Takes two single vectors, not stacks.
     """
     for name, v in (("first", n), ("second", m)):
+        if np.shape(v) != (8,):
+            raise ValidationError(f"geodesic_distance: {name} argument must have shape (8,), got {np.shape(v)}")
         if not is_pure(v, tol):
             raise ValidationError(f"geodesic_distance: {name} argument is not a pure state")
     c = dot(n, m)

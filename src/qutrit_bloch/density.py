@@ -14,6 +14,12 @@ Eigenvalues of 3x3 Hermitian matrices come from LAPACK's symmetric solver
 (np.linalg.eigvalsh) on the Hermitian part, accurate to about 1e-15 even at a
 (near-)double root and byte-identical from run to run.  Entropy of mixing
 uses base-3 logarithms, normalizing the maximally mixed state to 1.
+
+Every function broadcasts over leading axes: (..., 8) vectors and (..., 3, 3)
+matrices give stacks of results, while one vector or matrix gives the same
+Python types and bits as a scalar-only implementation.  Each public call
+validates its input once; q2's cubic term is bloch's `_self_star`, the one
+d-contraction of every state gate.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import math
 
 import numpy as np
 
-from .bloch import DEFAULT_TOL, ValidationError, _require_state, as_bloch_vector
+from .bloch import DEFAULT_TOL, ValidationError, _require_all, _require_state, as_bloch_vector
 from .gellmann import _LAMBDA, SQRT3
 
 HERMITICITY_TOL = 1e-12
@@ -32,23 +38,27 @@ _EYE3 = np.eye(3)
 _LN3 = math.log(3.0)
 
 
+def _bloch_matrix(n) -> np.ndarray:
+    """(1/3)(I + sqrt(3) n.lambda) of a validated (..., 8) array."""
+    return (_EYE3 + SQRT3 * np.einsum("...i,ijk->...jk", n, _LAMBDA)) / 3.0
+
+
 def bloch_matrix(n) -> np.ndarray:
     """Evaluate (1/3)(I + sqrt(3) n.lambda) with no state-validity check.
 
     Always Hermitian with unit trace; positive semidefinite only when n
-    satisfies the state constraints.
+    satisfies the state constraints.  A (..., 8) stack gives (..., 3, 3).
     """
-    n = as_bloch_vector(n)
-    return (_EYE3 + SQRT3 * np.einsum("i,ijk->jk", n, _LAMBDA)) / 3.0
+    return _bloch_matrix(as_bloch_vector(n))
 
 
 def from_bloch(n, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Density matrix of a valid Bloch vector.
+    """Density matrix of a valid Bloch vector, or a (..., 3, 3) stack of them.
 
-    Raises ValidationError naming the violated constraint when n does not
-    parametrize a state.
+    Raises ValidationError naming the violated constraint when n (or the
+    first failing vector of a stack) does not parametrize a state.
     """
-    return bloch_matrix(_require_state(n, tol))
+    return _bloch_matrix(_require_state(n, tol))
 
 
 def to_bloch(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -56,23 +66,28 @@ def to_bloch(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     Raises ValidationError naming the violated invariant: shape, finiteness,
     Hermiticity, unit trace, or the state constraints of n with slack tol.
+    A (..., 3, 3) stack gives (..., 8); it raises for its first matrix, in C
+    order, that fails Hermiticity or trace, then for the first whose vector
+    is not a state.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (3, 3):
+    if rho.shape[-2:] != (3, 3):
         raise ValidationError(f"density matrix must be 3x3, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho.view(float))):
+    if not np.isfinite(rho.view(float)).all():
         raise ValidationError("density matrix entries must be finite")
-    herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_dev > HERMITICITY_TOL:
-        raise ValidationError(f"not Hermitian: max |rho - rho^dag| = {herm_dev:.3e}")
-    trace_dev = abs(complex(rho.trace()) - 1.0)
-    if trace_dev > TRACE_TOL:
-        raise ValidationError(f"trace must be 1: |Tr rho - 1| = {trace_dev:.3e}")
-    return _require_state((SQRT3 / 2.0) * np.real(np.einsum("ab,jba->j", rho, _LAMBDA)), tol)
+    herm_dev = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    trace_dev = abs(rho.trace(axis1=-2, axis2=-1) - 1.0)
+    _require_all(
+        [
+            (herm_dev <= HERMITICITY_TOL, herm_dev, "not Hermitian: max |rho - rho^dag| = {:.3e}"),
+            (trace_dev <= TRACE_TOL, trace_dev, "trace must be 1: |Tr rho - 1| = {:.3e}"),
+        ]
+    )
+    return _require_state((SQRT3 / 2.0) * np.real(np.einsum("...ab,jba->...j", rho, _LAMBDA)), tol)
 
 
 def eigvals_hermitian_3x3(mat) -> np.ndarray:
-    """Eigenvalues of a 3x3 Hermitian matrix, descending.
+    """Eigenvalues of a 3x3 Hermitian matrix, descending; stacks broadcast.
 
     LAPACK's symmetric solver (np.linalg.eigvalsh) on the Hermitian part of
     mat, accurate to O(eps) at (near-)degenerate spectra too.  Raises
@@ -80,11 +95,11 @@ def eigvals_hermitian_3x3(mat) -> np.ndarray:
     validation is performed here.
     """
     a = np.asarray(mat, dtype=complex)
-    if a.shape != (3, 3):
+    if a.shape[-2:] != (3, 3):
         raise ValidationError(f"expected a 3x3 matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a.view(float)).all():
         raise ValidationError("matrix entries must be finite")
-    return np.linalg.eigvalsh(0.5 * (a + a.conj().T))[::-1]
+    return np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2)))[..., ::-1]
 
 
 def validate_density(rho) -> np.ndarray:
@@ -94,23 +109,26 @@ def validate_density(rho) -> np.ndarray:
 
 
 def spectrum(rho) -> np.ndarray:
-    """Eigenvalues (x1 >= x2 >= x3) of a valid density matrix."""
-    return eigvals_hermitian_3x3(validate_density(rho))
+    """Eigenvalues (x1 >= x2 >= x3) of a valid density matrix; stacks broadcast."""
+    to_bloch(rho)
+    return eigvals_hermitian_3x3(rho)
 
 
-def char_poly_coeffs(rho) -> tuple[float, float, float]:
+def char_poly_coeffs(rho):
     """Characteristic-polynomial coefficients (c1, c2, c3) of a density matrix.
 
     c1 = x1+x2+x3 = 1, c2 = x1 x2 + x2 x3 + x1 x3 = (1 - Tr rho^2)/2 and
     c3 = x1 x2 x3 = det rho, so rho^3 - c1 rho^2 + c2 rho - c3 I = 0.
-    Valid states satisfy c2 in [0, 1/3] and c3 in [0, 1/27].
+    Valid states satisfy c2 in [0, 1/3] and c3 in [0, 1/27].  One matrix
+    gives three floats, a (..., 3, 3) stack three arrays of shape (...).
     """
-    rho = validate_density(rho)
-    c1 = rho.trace().real
-    tr2 = np.einsum("ab,ba->", rho, rho).real
+    to_bloch(rho)
+    rho = np.asarray(rho, dtype=complex)
+    c1 = rho.trace(axis1=-2, axis2=-1).real
+    tr2 = np.einsum("...ab,...ba->...", rho, rho).real
     c2 = (c1 * c1 - tr2) / 2.0
     c3 = np.linalg.det(rho).real
-    return float(c1), float(c2), float(c3)
+    return (float(c1), float(c2), float(c3)) if rho.ndim == 2 else (c1, c2, c3)
 
 
 def mixing_entropy(eigenvalues) -> float | np.ndarray:
@@ -122,10 +140,14 @@ def mixing_entropy(eigenvalues) -> float | np.ndarray:
     are expected to sum to 1.
     """
     xs = np.clip(np.asarray(eigenvalues, dtype=float), 0.0, None)
+    if xs.shape[:1] != (3,):
+        raise ValidationError(f"eigenvalue triples must run along the first axis, got shape {xs.shape}")
     terms = xs * np.log(np.where(xs > 0.0, xs, 1.0))
     return -terms.sum(axis=0) / _LN3 + 0.0  # +0.0 kills -0.0
 
 
-def entropy_of_mixing(rho) -> float:
-    """Entropy of mixing E(rho) = -sum_i x_i log3 x_i, in [0, 1]."""
-    return mixing_entropy(spectrum(rho))
+def entropy_of_mixing(rho):
+    """Entropy of mixing E(rho) = -sum_i x_i log3 x_i, in [0, 1]; stacks broadcast."""
+    # spectrum's triples run along the last axis, mixing_entropy's along the
+    # first; reversing the axes before and after keeps the leading ones in order.
+    return mixing_entropy(spectrum(rho).T).T

@@ -92,7 +92,8 @@ def diag_constraints(p):
 
 def in_triangle(p, tol: float = DEFAULT_TOL) -> bool:
     """True when both constraint polynomials lie in [-tol, 1 + tol]."""
-    return bool(_in_unit_interval(diag_constraints(p), tol).all())
+    q1, q2 = diag_constraints(p)
+    return bool(np.all(_in_unit_interval(q1, tol) & _in_unit_interval(q2, tol)))
 
 
 def diag_eigenvalues(p) -> np.ndarray:
@@ -157,7 +158,7 @@ def entropy_grid(resolution: int, tol: float = DEFAULT_TOL) -> EntropyGrid:
     # q1 and q2 each mix both axes, so they come out (R, R).
     q1, q2 = diag_constraints((n3, n8[:, None]))
     x, y = np.meshgrid(n3, n8)
-    in_region = _in_unit_interval((q1, q2), tol).all(axis=0)
+    in_region = _in_unit_interval(q1, tol) & _in_unit_interval(q2, tol)
     entropy = np.where(in_region, mixing_entropy(diag_eigenvalues((x, y))), np.nan)
     return EntropyGrid(n3=n3, n8=n8, q1=q1, q2=q2, in_region=in_region, entropy=entropy)
 

@@ -94,3 +94,9 @@ def sample_radial_bloch(rng: np.random.Generator, size: int, max_radius: float =
     v = rng.standard_normal((size, 8))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     return v * rng.uniform(0.0, max_radius, size=(size, 1))
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes: bit for bit, so -0.0 differs from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()

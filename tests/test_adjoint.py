@@ -277,6 +277,10 @@ class TestOrbitSample:
         with pytest.raises(ValidationError):
             adjoint.orbit_sample(2.0 * N_R, 5, seed=0)
 
+    def test_rejects_a_stack_of_states(self):
+        with pytest.raises(ValidationError, match="one Bloch vector"):
+            adjoint.orbit_sample(np.stack([N_R, N_R]), 5, seed=0)
+
     def test_rejects_non_positive_count(self):
         with pytest.raises(ValueError):
             adjoint.orbit_sample(N_R, 0, seed=0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qutrit_bloch import bloch
+from qutrit_bloch.density import from_bloch
 from qutrit_bloch.gellmann import SQRT3
 from qutrit_bloch.triangle import VERTICES, bloch_from_diag
 
@@ -17,6 +18,7 @@ from conftest import (
     sample_pure_bloch,
     sample_radial_bloch,
     sample_valid_bloch,
+    same_bits,
 )
 
 N_R = bloch_from_diag(VERTICES["R"])
@@ -247,3 +249,94 @@ class TestGeodesicDistance:
         rng = np.random.default_rng(3)
         n = sample_pure_bloch(rng, 1)[0]
         assert bloch.geodesic_distance(n, n) >= 0.0
+
+
+def reference_constraints(n):
+    """The one-vector formula of (q1, q2): symmetrized outer product, d
+    contracted with einsum, np.dot.  state_constraints must keep its bits."""
+    from qutrit_bloch.gellmann import d_tensor
+
+    n = np.asarray(n, dtype=float)
+    outer = np.outer(n, n)
+    nn = SQRT3 * np.einsum("jkl,kl->j", d_tensor(), 0.5 * (outer + outer.T))
+    q1 = float(np.dot(n, n))
+    return q1, 3.0 * q1 - 2.0 * float(np.dot(n, nn))
+
+
+wide_vec8 = st.lists(
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False), min_size=8, max_size=8
+).map(np.array)
+
+
+def mixed_stack(shape):
+    """Pure, mixed and invalid vectors, shaped (*shape, 8)."""
+    rng = np.random.default_rng(61)
+    rows = np.concatenate(
+        [sample_pure_bloch(rng, 2), sample_valid_bloch(rng, 2), sample_box_bloch(rng, 2)]
+    )
+    return rows[: math.prod(shape)].reshape(*shape, 8)
+
+
+class TestBatchKernels:
+    @given(st.one_of(vec8, wide_vec8))
+    @settings(deadline=None)
+    def test_constraints_keep_the_one_vector_bits(self, n):
+        q = bloch.state_constraints(n)
+        assert all(type(v) is float for v in q)
+        assert same_bits(q, reference_constraints(n))
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3)])
+    def test_stack_rows_match_single_calls(self, shape):
+        stack = mixed_stack(shape)
+        q1, q2 = bloch.state_constraints(stack)
+        mixed = bloch.is_mixed_state(stack)
+        pure = bloch.is_pure(stack)
+        assert q1.shape == q2.shape == mixed.shape == pure.shape == shape
+        assert mixed.any() and not mixed.all() and pure.any()
+        for idx in np.ndindex(*shape):
+            n = stack[idx]
+            assert same_bits((q1[idx], q2[idx]), bloch.state_constraints(n))
+            assert mixed[idx] == bloch.is_mixed_state(n)
+            assert pure[idx] == bloch.is_pure(n)
+            assert same_bits(bloch.star(stack, stack)[idx], bloch.star(n, n))
+            assert same_bits(bloch.wedge(stack, stack[::-1])[idx], bloch.wedge(n, stack[::-1][idx]))
+            assert same_bits(bloch.dot(stack, stack[::-1])[idx], bloch.dot(n, stack[::-1][idx]))
+
+    def test_single_vector_types(self):
+        assert type(bloch.is_mixed_state(N_R)) is bool
+        assert type(bloch.is_pure(N_R)) is bool
+        assert type(bloch.dot(N_R, N_B)) is float
+
+    def test_geodesic_distance_rejects_a_stack(self):
+        with pytest.raises(bloch.ValidationError, match="first"):
+            bloch.geodesic_distance(np.stack([N_R, N_B]), N_G)
+
+
+class TestHugeComponents:
+    """A finite vector too large for q1 or q2 in doubles: the gates say no, without a warning."""
+
+    @pytest.mark.parametrize(
+        "index, value, expected",
+        [(0, 1e200, (math.inf, math.inf)), (7, 1e103, (1e206, math.inf)), (7, -1e103, (1e206, -math.inf)),
+         (2, 1.7e308, (math.inf, math.inf))],
+    )
+    def test_state_gates(self, index, value, expected):
+        n = value * basis_vec(index + 1)
+        q = bloch.state_constraints(n)
+        assert q == pytest.approx(expected, rel=1e-15)
+        assert bloch.is_mixed_state(n) is False
+        assert bloch.is_pure(n) is False
+        with pytest.raises(bloch.ValidationError, match=r"not a state: \|n\|\^2 = ") as exc:
+            from_bloch(n)
+        assert str(exc.value).split(" = ")[1].startswith(f"{q[0]:.17g} ")
+
+    def test_other_rows_of_a_stack_keep_their_bits(self):
+        stack = mixed_stack((6,))
+        stack[3] = 1e200 * basis_vec(1)
+        q1, q2 = bloch.state_constraints(stack)
+        assert q1[3] == q2[3] == math.inf
+        pure = bloch.is_pure(stack)
+        for i in (0, 1, 2, 4, 5):
+            assert same_bits((q1[i], q2[i]), bloch.state_constraints(stack[i]))
+            assert pure[i] == bloch.is_pure(stack[i])
+        assert not pure[3]

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qutrit_bloch import density
+from qutrit_bloch import bloch, density
 from qutrit_bloch.adjoint import haar_random_su3
 from qutrit_bloch.bloch import ValidationError, is_mixed_state, state_constraints
 from qutrit_bloch.cli import main
@@ -19,7 +20,9 @@ from conftest import (
     haar_unitary_oracle,
     rho_from_bloch_oracle,
     sample_box_bloch,
+    sample_pure_bloch,
     sample_valid_bloch,
+    same_bits,
 )
 
 N_R = bloch_from_diag(VERTICES["R"])
@@ -370,3 +373,99 @@ class TestEntropy:
         for _ in range(100):
             u = haar_unitary_oracle(rng)
             assert abs(density.entropy_of_mixing(u @ rho @ u.conj().T) - e0) <= 1e-10
+
+
+class TestStacks:
+    @pytest.mark.parametrize("shape", [(5,), (2, 3)])
+    def test_rows_match_single_calls(self, shape):
+        rng = np.random.default_rng(67)
+        vectors = sample_valid_bloch(rng, math.prod(shape)).reshape(*shape, 8)
+        rhos = density.from_bloch(vectors)
+        back = density.to_bloch(rhos)
+        spectra = density.spectrum(rhos)
+        entropies = density.entropy_of_mixing(rhos)
+        coeffs = density.char_poly_coeffs(rhos)
+        assert rhos.shape == (*shape, 3, 3) and back.shape == (*shape, 8)
+        assert spectra.shape == (*shape, 3) and entropies.shape == shape
+        for idx in np.ndindex(*shape):
+            rho = density.from_bloch(vectors[idx])
+            assert same_bits(rhos[idx], rho)
+            assert same_bits(density.bloch_matrix(vectors)[idx], rho)
+            assert same_bits(back[idx], density.to_bloch(rho))
+            assert same_bits(spectra[idx], density.spectrum(rho))
+            assert same_bits(entropies[idx], density.entropy_of_mixing(rho))
+            assert same_bits([c[idx] for c in coeffs], density.char_poly_coeffs(rho))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            1.2 * N_R,  # |n|^2 > 1
+            np.array([0.0] * 7 + [0.9]),  # q2 > 1
+            np.array([0.0, 0.0, 0.9] + [0.0] * 5),  # q2 > 1
+        ],
+    )
+    def test_one_bad_vector_raises_its_own_message(self, bad):
+        stack = np.concatenate([sample_valid_bloch(np.random.default_rng(71), 6), [bad]])[[0, 1, 2, 6, 3, 4, 5]]
+        with pytest.raises(ValidationError) as single:
+            density.from_bloch(bad)
+        with pytest.raises(ValidationError) as batch:
+            density.from_bloch(stack.reshape(7, 8))
+        assert str(batch.value) == str(single.value)
+        with pytest.raises(ValidationError) as single:
+            density.to_bloch(density.bloch_matrix(bad))
+        with pytest.raises(ValidationError) as batch:
+            density.to_bloch(density.bloch_matrix(stack))
+        assert str(batch.value) == str(single.value)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.eye(3) / 3 + np.diag([0.0, 0.1], 1),  # not Hermitian
+            np.eye(3) / 2,  # trace 3/2
+            np.diag([1.2, -0.1, -0.1]),  # not positive
+        ],
+    )
+    def test_one_bad_matrix_raises_its_own_message(self, bad):
+        rhos = rho_from_bloch_oracle(sample_valid_bloch(np.random.default_rng(73), 6))
+        stack = np.concatenate([rhos[:4], [bad], rhos[4:]]).reshape(7, 3, 3)
+        with pytest.raises(ValidationError) as single:
+            density.to_bloch(bad)
+        for fn in (density.to_bloch, density.spectrum, density.char_poly_coeffs):
+            with pytest.raises(ValidationError) as batch:
+                fn(stack)
+            assert str(batch.value) == str(single.value)
+
+    def test_huge_entries_fail_the_state_gate_without_a_warning(self):
+        with pytest.raises(ValidationError, match=r"not a state: \|n\|\^2 = inf"):
+            density.to_bloch(np.diag([1e200, -1e200, 1.0]))
+
+    @pytest.mark.parametrize("kind", ["vectors", "matrices"])
+    def test_every_public_function_broadcasts_a_stack_or_rejects_it(self, kind):
+        # Pure states, for geodesic_distance; real matrices, which every
+        # vector function can read as an array of floats.
+        vectors = sample_pure_bloch(np.random.default_rng(79), 2)
+        vectors[1] = bloch_from_diag(VERTICES["G"])
+        stack = vectors if kind == "vectors" else density.from_bloch(np.stack([N_R, vectors[1]])).real
+        checked = 0
+        for module in (bloch, density):
+            for name, fn in vars(module).items():
+                if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+                    continue
+                params = inspect.signature(fn).parameters.values()
+                arity = sum(p.default is inspect.Parameter.empty for p in params)
+                try:
+                    out = fn(*[stack] * arity)
+                except ValidationError:
+                    continue
+                rows = [fn(*[stack[i]] * arity) for i in range(2)]
+                if isinstance(out, tuple):
+                    out = np.stack(out, axis=-1)
+                assert np.shape(out)[:1] == (2,), name
+                for i in range(2):
+                    np.testing.assert_array_equal(out[i], np.asarray(rows[i]), err_msg=name)
+                checked += 1
+        assert checked == (9 if kind == "vectors" else 6)
+
+    def test_mixing_entropy_rejects_triples_off_the_first_axis(self):
+        with pytest.raises(ValidationError, match="first axis"):
+            density.mixing_entropy(np.full((2, 3), 0.5))
