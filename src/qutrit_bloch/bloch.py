@@ -17,10 +17,10 @@ the diagonal triangle) classify as valid under the symmetric slack.
 
 Every function but geodesic_distance takes a (..., 8) stack as well as one
 vector and broadcasts over the leading axes; one (8,) vector gives the same
-Python types and the same bits as a scalar-only implementation would.  Each public call validates
-its input once, and the kernels behind it run on the validated array.  n star
-n, the cubic term of every state gate, is `_self_star`, and it and a star b
-share the one d-contraction, `_d_contract`.
+Python types and the same bits as a scalar-only implementation would.  Each
+public call validates its input once, and the kernels behind it run on the
+validated array.  n star n, the cubic term of every state gate, is
+`_self_star`, and it and a star b share the one d-contraction, `_d_contract`.
 """
 
 from __future__ import annotations
