@@ -63,7 +63,7 @@ def main() -> None:
     zero_count = int(np.sum(inside & (np.abs(grid.entropy) <= 1e-12)))
     print(f"zero-entropy grid nodes (pure vertices on the grid): {zero_count}")
 
-    contour_entropy = _lattice_entropy(cfg.contour_resolution - 1)
+    contour_entropy = _lattice_entropy(cfg.contour_resolution)
     contours = []
     mirror_residual = 0.0
     for level in cfg.levels:

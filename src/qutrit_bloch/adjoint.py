@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bloch import DEFAULT_TOL, ValidationError, _require_state
-from .gellmann import _LAMBDA
+from .gellmann import _LAMBDA, _project
 
 UNITARY_TOL = 1e-12
 # orbit_sample draws and rotates this many samples at a time, which bounds its
@@ -53,11 +53,6 @@ def _validate_special_unitary(u, dim: int, tol: float = UNITARY_TOL) -> np.ndarr
     if np.any(bad):
         raise ValidationError(f"not special unitary: det = {complex(det[bad][0]):.17g}")
     return u
-
-
-def _project(m, generators: np.ndarray) -> np.ndarray:
-    """(1/2) Re Tr(g_i m) for each generator g_i, over the trailing (d, d) axes of m."""
-    return 0.5 * np.real(np.einsum("iab,...ba->...i", generators, m))
 
 
 def _adjoint(u, generators: np.ndarray) -> np.ndarray:

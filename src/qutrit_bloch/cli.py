@@ -5,7 +5,9 @@ documents all carry schema_version "1" and serialize floats with 17
 significant digits (round-trip exact for doubles); complex matrices are
 row-major lists of [re, im] pairs.  Output depends only on argv and stdin.
 
-Exit codes: 0 success, 1 usage or parse error, 2 domain/validity error.
+Exit codes: 0 success, 1 usage or parse error, 2 domain/validity error.  The
+CLI checks the input's source, JSON shape and finiteness, the |n|^4 guard and
+option types; the library's range checks exit 1 and its state checks exit 2.
 """
 
 from __future__ import annotations
@@ -78,7 +80,13 @@ def _matrix_pairs(m: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in np.asarray(m, dtype=complex).ravel()]
 
 
-def _read_json_source(ns):
+def _read_input(ns, what: str, ways: str, positional: bool):
+    """The one input: positional components if `positional`, or --stdin or --input JSON."""
+    given = [bool(ns.components), ns.stdin, ns.input is not None]
+    if sum(given) != 1 or (ns.components and not positional):
+        raise UsageError(f"provide the {what} exactly one way: {ways}")
+    if ns.components:
+        return ns.components
     if ns.stdin:
         text = sys.stdin.read()
     else:
@@ -111,19 +119,8 @@ def _as_number_list(payload, count: int, what: str) -> list[float]:
 
 
 def _vector_arg(ns) -> np.ndarray:
-    sources = sum([bool(ns.components), ns.stdin, ns.input is not None])
-    if sources != 1:
-        raise UsageError(
-            "provide the vector exactly one way: 8 positional components, --stdin, or --input PATH"
-        )
-    if ns.components:
-        if len(ns.components) != 8:
-            raise UsageError(f"expected 8 vector components, got {len(ns.components)}")
-        if not all(math.isfinite(v) for v in ns.components):
-            raise UsageError("vector components must be finite")
-        values = ns.components
-    else:
-        values = _as_number_list(_read_json_source(ns), 8, "Bloch vector")
+    payload = _read_input(ns, "vector", "8 positional components, --stdin, or --input PATH", True)
+    values = _as_number_list(payload, 8, "Bloch vector")
     # q2 is cubic in n, so a finite |n|^2 is not enough: a finite |n|^4 keeps
     # q1, q2 and rho far from overflow.  Python floats overflow without warnings.
     norm2 = sum(v * v for v in values)
@@ -133,12 +130,8 @@ def _vector_arg(ns) -> np.ndarray:
 
 
 def _matrix_arg(ns) -> np.ndarray:
-    if ns.components:
-        raise UsageError("rho-to-bloch takes the matrix as JSON via --stdin or --input")
-    if not (ns.stdin or ns.input is not None):
-        raise UsageError("rho-to-bloch needs --stdin or --input PATH")
-    payload = _read_json_source(ns)
-    if isinstance(payload, list) and len(payload) == 3:
+    payload = _read_input(ns, "matrix", "JSON via --stdin or --input PATH", False)
+    if isinstance(payload, list) and len(payload) == 3 and all(isinstance(r, list) for r in payload):
         payload = [entry for row in payload for entry in row]
     if not isinstance(payload, list) or len(payload) != 9:
         raise UsageError("matrix must be a row-major JSON array of 9 [re, im] pairs")
@@ -196,8 +189,6 @@ def _grid_csv(grid) -> str:
 
 
 def cmd_triangle(ns) -> int:
-    if ns.resolution < 2:
-        raise UsageError("--resolution must be at least 2")
     grid = entropy_grid(ns.resolution, ns.tol)
     if ns.format == "csv":
         print(_grid_csv(grid))
@@ -227,8 +218,6 @@ def _parse_levels(arg: str) -> list[float]:
             level = float(token)
         except ValueError as exc:
             raise UsageError(f"cannot parse contour level {token!r}") from exc
-        if not 0.0 < level < 1.0:
-            raise UsageError(f"contour level {token} is outside (0, 1)")
         levels.append(level)
     if not levels:
         raise UsageError("--levels names no contour level")
@@ -245,15 +234,13 @@ def _contour_document(resolution: int, contours) -> dict:
 
 
 def cmd_contour(ns) -> int:
-    entropy = _lattice_entropy(ns.resolution - 1)  # a ValueError below resolution 2
+    entropy = _lattice_entropy(ns.resolution)
     contours = [(lv, _lattice_contour(entropy, lv, ns.tol)) for lv in _parse_levels(ns.levels)]
     print(_to_json(_contour_document(ns.resolution, contours)))
     return 0
 
 
 def cmd_orbit(ns) -> int:
-    if ns.count < 1:
-        raise UsageError("--count must be at least 1")
     n = _vector_arg(ns)
     samples = orbit_sample(n, ns.count, ns.seed, ns.tol)
     doc = {

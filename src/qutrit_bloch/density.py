@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .bloch import DEFAULT_TOL, ValidationError, _require_all, _require_state, as_bloch_vector
-from .gellmann import _LAMBDA, SQRT3
+from .gellmann import _LAMBDA, SQRT3, _project
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -83,7 +83,7 @@ def to_bloch(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
             (trace_dev <= TRACE_TOL, trace_dev, "trace must be 1: |Tr rho - 1| = {:.3e}"),
         ]
     )
-    return _require_state((SQRT3 / 2.0) * np.real(np.einsum("...ab,jba->...j", rho, _LAMBDA)), tol)
+    return _require_state(SQRT3 * _project(rho, _LAMBDA), tol)
 
 
 def eigvals_hermitian_3x3(mat) -> np.ndarray:

@@ -104,6 +104,11 @@ _F_DENSE = _dense(_F_TABLE, antisymmetric=True)
 _D_DENSE = _dense(_D_TABLE, antisymmetric=False)
 
 
+def _project(m, generators: np.ndarray) -> np.ndarray:
+    """(1/2) Re Tr(g_i m) for each generator g_i, over the trailing (d, d) axes of m."""
+    return 0.5 * np.einsum("iab,...ba->...i", generators, m).real
+
+
 def f_symbol(j: int, k: int, l: int) -> float:
     """Totally antisymmetric structure constant f_jkl."""
     return float(_F_DENSE[_check_index(j) - 1, _check_index(k) - 1, _check_index(l) - 1])

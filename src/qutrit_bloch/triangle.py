@@ -212,14 +212,16 @@ def equi_entropy_contour(
     Raises ValidationError when no lattice cell brackets the level (the level
     is not attained at this resolution).
     """
-    return _lattice_contour(_lattice_entropy(resolution - 1), level, tol)
+    return _lattice_contour(_lattice_entropy(resolution), level, tol)
 
 
-def _lattice_entropy(n: int) -> np.ndarray:
-    """Entropy at the weights (i, j, n - i - j)/n, as an (n + 1, n + 1) array
-    indexed [i, j]; NaN where i + j > n, off the lattice."""
-    if n < 1:
+def _lattice_entropy(resolution: int) -> np.ndarray:
+    """Entropy at the weights (i, j, n - i - j)/n, n = resolution - 1, as a
+    (resolution, resolution) array indexed [i, j]; NaN where i + j > n, off
+    the lattice."""
+    if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    n = resolution - 1
     k = np.arange(n + 1)
     rest = n - np.add.outer(k, k)
     weights = np.broadcast_arrays(k[:, None], k, np.where(rest >= 0, rest, np.nan))

@@ -81,6 +81,8 @@ class TestAdjointSU3:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError, match="unitary"):
             adjoint.adjoint_su3(np.ones((3, 3)))
+        with pytest.raises(ValidationError, match="3x3"):  # a 2x2 unitary is not in U(3)
+            adjoint.adjoint_su3(np.eye(2))
 
     def test_rejects_unitary_with_wrong_determinant(self):
         u = adjoint.haar_random_su3(1) * np.exp(1j * 0.3)

@@ -475,17 +475,26 @@ class TestRowWriterBytes:
 
 class TestArgumentErrors:
     @pytest.mark.parametrize(
-        "argv",
+        "argv, stdin",
         [
-            ["orbit", *ORIGIN, "--seed", "-1"],
-            ["check", *ORIGIN, "--tol", "-1"],
-            ["contour", "--levels", "0.5", "--tol", "0"],
-            ["contour", "--levels", "0.5", "--resolution", "1"],
-            ["triangle", "--resolution", "3", "--tol", "nan"],
-            ["check", "1e200", *ORIGIN[1:]],
-            ["convert", "bloch-to-rho", "1e200", *ORIGIN[1:]],
-            ["orbit", "1e200", *ORIGIN[1:]],
-            ["check", *ORIGIN[:-1], "1e103"],
+            (["orbit", *ORIGIN, "--seed", "-1"], ""),
+            (["check", *ORIGIN, "--tol", "-1"], ""),
+            (["contour", "--levels", "0.5", "--tol", "0"], ""),
+            (["contour", "--levels", "0.5", "--resolution", "1"], ""),
+            (["triangle", "--resolution", "3", "--tol", "nan"], ""),
+            (["check", "1e200", *ORIGIN[1:]], ""),
+            (["convert", "bloch-to-rho", "1e200", *ORIGIN[1:]], ""),
+            (["orbit", "1e200", *ORIGIN[1:]], ""),
+            (["check", *ORIGIN[:-1], "1e103"], ""),
+            (["check", "--stdin"], "[0, 0]"),
+            (["check", "--stdin"], '[0, 0, 0, 0, 0, 0, 0, "0"]'),
+            (["check", "--stdin"], "[0, 0, 0, 0, 0, 0, 0, NaN]"),
+            (["convert", "rho-to-bloch"], ""),
+            (["check", *ORIGIN, "--tol", "abc"], ""),
+            (["orbit", *ORIGIN, "--seed", "x"], ""),
+            (["convert", "rho-to-bloch", "--stdin"], "[1, 2, 3]"),
+            (["convert", "rho-to-bloch", "--stdin"], "[[1, 0], [0, 0], 5]"),
+            (["convert", "rho-to-bloch", "--stdin"], "[[1, 2, 3], [4, 5, 6], [7, 8, 9]]"),
         ],
         ids=[
             "orbit-negative-seed",
@@ -497,9 +506,19 @@ class TestArgumentErrors:
             "convert-overflow",
             "orbit-overflow",
             "check-cubic-overflow",
+            "json-vector-of-2",
+            "json-vector-with-a-string",
+            "json-vector-with-nan",
+            "rho-to-bloch-no-source",
+            "check-unparseable-tol",
+            "orbit-unparseable-seed",
+            "matrix-of-3-numbers",
+            "matrix-rows-and-a-number",
+            "matrix-of-3-number-rows",
         ],
     )
-    def test_exits_1_with_one_line_message(self, capsys, argv):
+    def test_exits_1_with_one_line_message(self, capsys, monkeypatch, argv, stdin):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
         code, out, err = run(capsys, argv)
         assert code == 1
         assert out == ""
@@ -559,7 +578,7 @@ class TestEntropyLandscapeScript:
 
         monkeypatch.setattr(triangle, "_lattice_entropy", counting_lattice)
         runpy.run_path(str(ROOT / "scripts" / "entropy_landscape.py"), run_name="__main__")
-        assert calls == [(31,)]  # one lattice per run, not one per level
+        assert calls == [(32,)]  # one lattice per run, not one per level
         capsys.readouterr()
         _, grid_csv, _ = run(capsys, ["triangle", "--resolution", "11"])
         _, contours, _ = run(capsys, ["contour", "--levels", "0.5,0.9", "--resolution", "32"])

@@ -423,6 +423,7 @@ class TestStacks:
             np.eye(3) / 3 + np.diag([0.0, 0.1], 1),  # not Hermitian
             np.eye(3) / 2,  # trace 3/2
             np.diag([1.2, -0.1, -0.1]),  # not positive
+            np.full((3, 3), np.nan),  # not finite
         ],
     )
     def test_one_bad_matrix_raises_its_own_message(self, bad):
