@@ -103,8 +103,12 @@ def _constraints(n, safe: bool):
 
 
 def dot(a, b):
-    """Euclidean inner product of two 8-vectors; stacks broadcast."""
-    d = np.vecdot(as_bloch_vector(a), as_bloch_vector(b))
+    """Euclidean inner product of two 8-vectors; stacks broadcast.
+
+    A sum whose products overflow reads +-inf or NaN, with no warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.vecdot(as_bloch_vector(a), as_bloch_vector(b))
     return float(d) if d.ndim == 0 else d
 
 
@@ -112,23 +116,27 @@ def wedge(a, b) -> np.ndarray:
     """Antisymmetric wedge product sqrt(3) f_jkl a_k b_l; stacks broadcast.
 
     Contracts f with the antisymmetrized outer product (f kills the symmetric
-    part anyway), so wedge(a, b) == -wedge(b, a) holds bitwise.
+    part anyway), so wedge(a, b) == -wedge(b, a) holds bitwise.  Inputs
+    whose products overflow give +-inf or NaN components, with no warning.
     """
     a = as_bloch_vector(a)
     b = as_bloch_vector(b)
-    anti = 0.5 * (a[..., :, None] * b[..., None, :] - b[..., :, None] * a[..., None, :])
-    return SQRT3 * np.einsum("jkl,...kl->...j", _F_DENSE, anti)
+    with np.errstate(over="ignore", invalid="ignore"):
+        anti = 0.5 * (a[..., :, None] * b[..., None, :] - b[..., :, None] * a[..., None, :])
+        return SQRT3 * np.einsum("jkl,...kl->...j", _F_DENSE, anti)
 
 
 def star(a, b) -> np.ndarray:
     """Symmetric star product sqrt(3) d_jkl a_k b_l; stacks broadcast.
 
     Contracts d with the symmetrized outer product, so star(a, b) ==
-    star(b, a) holds bitwise.
+    star(b, a) holds bitwise.  Inputs whose products overflow give +-inf or
+    NaN components, with no warning.
     """
     a = as_bloch_vector(a)
     b = as_bloch_vector(b)
-    return _d_contract(0.5 * (a[..., :, None] * b[..., None, :] + b[..., :, None] * a[..., None, :]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _d_contract(0.5 * (a[..., :, None] * b[..., None, :] + b[..., :, None] * a[..., None, :]))
 
 
 def state_constraints(n):

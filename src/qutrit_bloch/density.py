@@ -139,11 +139,16 @@ def mixing_entropy(eigenvalues) -> float | np.ndarray:
     gives a scalar.  Entries within round-off below zero are clipped; inputs
     are expected to sum to 1.
     """
-    xs = np.clip(np.asarray(eigenvalues, dtype=float), 0.0, None)
+    xs = np.asarray(eigenvalues, dtype=float)
     if xs.shape[:1] != (3,):
         raise ValidationError(f"eigenvalue triples must run along the first axis, got shape {xs.shape}")
-    terms = xs * np.log(np.where(xs > 0.0, xs, 1.0))
-    return -terms.sum(axis=0) / _LN3 + 0.0  # +0.0 kills -0.0
+    return -_xlogx(xs).sum(axis=0) / _LN3 + 0.0  # +0.0 kills -0.0
+
+
+def _xlogx(x) -> np.ndarray:
+    """x log x elementwise, with 0 log 0 = 0; entries below zero count as 0."""
+    x = np.maximum(x, 0.0)
+    return x * np.log(np.where(x > 0, x, 1))
 
 
 def entropy_of_mixing(rho):

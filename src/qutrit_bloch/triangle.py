@@ -18,10 +18,11 @@ image of (1/2) diag(0, 1, 1).
 
 The module also evaluates the entropy of mixing over the triangle and
 extracts equi-entropy contours by marching triangles on the triangle's own
-lattice, whose points have the weights (i, j, N - i - j)/N: each lattice cell
-holds at most one segment, and Newton steps with a bisection fallback refine
-every crossing at once, so every emitted point meets the requested
-|E - level| tolerance.
+lattice, whose points have the weights (i, j, N - i - j)/N.  These weights
+take only the N + 1 values k/N, so the lattice entropy costs N + 1
+logarithms.  Each lattice cell holds at most one segment, and Newton steps
+with a bisection fallback refine every crossing at once, so every emitted
+point meets the requested |E - level| tolerance.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bloch import DEFAULT_TOL, ValidationError, _in_unit_interval
-from .density import _LN3, mixing_entropy
+from .density import _LN3, _xlogx, mixing_entropy
 from .gellmann import SQRT3
 
 
@@ -102,17 +103,17 @@ def diag_eigenvalues(p) -> np.ndarray:
     The triple ((1 + sqrt(3) n3 + n8)/3, (1 - sqrt(3) n3 + n8)/3,
     (1 - 2 n8)/3) is affine in p and evaluates to the unit vectors at the
     vertices, so it doubles as barycentric coordinates on the triangle.
-    The triple runs along the first axis: p = (n3, n8) holding arrays of
-    shape S gives an array of shape (3, *S), the layout mixing_entropy takes.
+    The triple runs along the first axis: n3 and n8 broadcast to one shape S,
+    and the result has shape (3, *S), the layout mixing_entropy takes.
     """
     n3, n8 = p
-    return np.array(
-        [
-            (1.0 + SQRT3 * n3 + n8) / 3.0,
-            (1.0 - SQRT3 * n3 + n8) / 3.0,
-            (1.0 - 2.0 * n8) / 3.0,
-        ]
-    )
+    s = SQRT3 * n3
+    x = np.empty((3, *np.broadcast(n3, n8).shape))
+    x[0] = 1.0 + s + n8
+    x[1] = 1.0 - s + n8
+    x[2] = 1.0 - 2.0 * n8
+    x /= 3.0
+    return x
 
 
 def diag_entropy(p, tol: float = DEFAULT_TOL) -> float:
@@ -157,9 +158,8 @@ def entropy_grid(resolution: int, tol: float = DEFAULT_TOL) -> EntropyGrid:
     # On the broadcast axes the cubes of n8 are taken R times, not R**2 times;
     # q1 and q2 each mix both axes, so they come out (R, R).
     q1, q2 = diag_constraints((n3, n8[:, None]))
-    x, y = np.meshgrid(n3, n8)
     in_region = _in_unit_interval(q1, tol) & _in_unit_interval(q2, tol)
-    entropy = np.where(in_region, mixing_entropy(diag_eigenvalues((x, y))), np.nan)
+    entropy = np.where(in_region, mixing_entropy(diag_eigenvalues((n3, n8[:, None]))), np.nan)
     return EntropyGrid(n3=n3, n8=n8, q1=q1, q2=q2, in_region=in_region, entropy=entropy)
 
 
@@ -172,23 +172,23 @@ def _newton_refine(p0, p1, b0, b1, level, tol, max_iter=120) -> np.ndarray:
     that is not finite or leaves its bracket [ta, tb] is a bisection instead.
     """
     dx = diag_eigenvalues(p1) - diag_eigenvalues(p0)
+    held = dx == 0.0  # a weight held at zero along the segment adds nothing to dE/dt
     t = b0 / (b0 - b1)
     ta, tb = np.zeros_like(t), np.ones_like(t)
-    for _ in range(1 + max_iter):
-        point = (1.0 - t) * p0 + t * p1
-        x = diag_eigenvalues(point)
-        e = mixing_entropy(x) - level
-        done = np.abs(e) <= tol
-        if done.all():
-            return point
-        ta = np.where(e >= 0.0, t, ta)
-        tb = np.where(e < 0.0, t, tb)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # a weight held at zero along the segment adds nothing to dE/dt
-            slope = np.where(dx == 0.0, 0.0, dx * np.log(x)).sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(1 + max_iter):
+            point = (1.0 - t) * p0 + t * p1
+            x = diag_eigenvalues(point)
+            e = mixing_entropy(x) - level
+            done = np.abs(e) <= tol
+            if done.all():
+                return point
+            ta = np.where(e >= 0.0, t, ta)
+            tb = np.where(e < 0.0, t, tb)
+            slope = np.where(held, 0.0, dx * np.log(x)).sum(axis=0)
             newton = t + e * _LN3 / slope
-        newton = np.where((ta < newton) & (newton < tb), newton, 0.5 * (ta + tb))
-        t = np.where(done, t, newton)
+            newton = np.where((ta < newton) & (newton < tb), newton, 0.5 * (ta + tb))
+            t = np.where(done, t, newton)
     raise ValidationError(f"contour refinement failed to reach |E - {level}| <= {tol}")
 
 
@@ -223,9 +223,12 @@ def _lattice_entropy(resolution: int) -> np.ndarray:
         raise ValueError("resolution must be at least 2")
     n = resolution - 1
     k = np.arange(n + 1)
+    h = _xlogx(k / n)  # the n + 1 weights k/n are all the lattice has
     rest = n - np.add.outer(k, k)
-    weights = np.broadcast_arrays(k[:, None], k, np.where(rest >= 0, rest, np.nan))
-    return mixing_entropy(np.array(weights) / n)
+    # off the lattice, rest < 0 picks the NaN appended at index n + 1
+    h_rest = np.append(h, np.nan)[np.where(rest >= 0, rest, n + 1)]
+    # mixing_entropy's sum, in its order: bit for bit the entropy of the weights
+    return -((h[:, None] + h) + h_rest) / _LN3 + 0.0
 
 
 def _lattice_points(flat, n: int) -> np.ndarray:
@@ -252,13 +255,7 @@ def _lattice_contour(entropy, level: float, tol: float) -> list[list[DiagPoint]]
     n, size = len(entropy) - 1, entropy.size
     b = (entropy - level).ravel()
     above = b >= 0.0
-    # Cell corners by flat index a = i (n + 1) + j: the cell (a, a + 1, a + n + 1)
-    # exists for i + j < n, the cell (a + 1, a + n + 1, a + n + 2) for i + j < n - 1.
-    rank = np.add.outer(np.arange(n + 1), np.arange(n + 1)).ravel()
-    up, down = np.flatnonzero(rank < n), np.flatnonzero(rank < n - 1)
-    cells = np.hstack([(up, up + 1, up + n + 1), (down + n + 2, down + n + 1, down + 1)])
-    side = above[cells]
-    cells = cells[:, (side != side[0]).any(axis=0)]
+    cells = _crossed_cells(above, n)
     if cells.size == 0:
         raise ValidationError(f"level {level} is not bracketed at lattice resolution {n + 1}")
     # a crossed edge has one corner above the level; its id is above * size + below
@@ -271,6 +268,26 @@ def _lattice_contour(entropy, level: float, tol: float) -> list[list[DiagPoint]]
     p0, p1 = _lattice_points(i0, n), _lattice_points(i1, n)
     points = _newton_refine(p0, p1, b[i0], b[i1], level, tol)
     return _assemble_polylines(index.reshape(-1, 2), points.T.tolist())
+
+
+def _crossed_cells(above, n: int) -> np.ndarray:
+    """Corners (3, m) of the lattice cells whose corners are not all on one side.
+
+    above holds, by flat index a = i (n + 1) + j, whether a lattice point is at
+    or above the level.  The up cell (a, a + 1, a + n + 1) exists for i + j < n,
+    the down cell (a + n + 2, a + n + 1, a + 1) for i + j < n - 1; up cells
+    come first, each kind in flat order.  Four shifted (n, n) views compare
+    the corners of every cell k = i n + j at once; a cell past the hypotenuse,
+    whose off-lattice corners read as below, is dropped by its i + j.
+    """
+    grid = above.reshape(n + 1, n + 1)
+    ij, ij1, i1j, i1j1 = grid[:-1, :-1], grid[:-1, 1:], grid[1:, :-1], grid[1:, 1:]
+    up = np.flatnonzero((ij != ij1) | (ij != i1j))
+    down = np.flatnonzero((i1j1 != i1j) | (i1j1 != ij1))
+    up = up[up // n + up % n < n]
+    down = down[down // n + down % n < n - 1]
+    up, down = up + up // n, down + down // n  # k -> a
+    return np.hstack([(up, up + 1, up + n + 1), (down + n + 2, down + n + 1, down + 1)])
 
 
 def _assemble_polylines(pairs, points) -> list[list[DiagPoint]]:

@@ -330,6 +330,17 @@ class TestHugeComponents:
             from_bloch(n)
         assert str(exc.value).split(" = ")[1].startswith(f"{q[0]:.17g} ")
 
+    def test_products_overflow_without_a_warning(self):
+        # d_118 = 1/sqrt(3) and f_123 = 1; the suite turns every warning into an error
+        n, m = 1e200 * basis_vec(1), 1e200 * basis_vec(2)
+        assert bloch.dot(n, n) == math.inf and bloch.dot(n, -n) == -math.inf
+        assert bloch.star(n, n)[7] == math.inf and bloch.star(n, -n)[7] == -math.inf
+        assert bloch.wedge(n, m)[2] == math.inf and bloch.wedge(m, n)[2] == -math.inf
+        stack = np.stack([N_R, n])
+        assert same_bits(bloch.dot(stack, stack)[0], bloch.dot(N_R, N_R))
+        assert same_bits(bloch.star(stack, stack)[0], bloch.star(N_R, N_R))
+        assert same_bits(bloch.wedge(stack, stack[::-1])[0], bloch.wedge(N_R, n))
+
     def test_other_rows_of_a_stack_keep_their_bits(self):
         stack = mixed_stack((6,))
         stack[3] = 1e200 * basis_vec(1)

@@ -9,7 +9,7 @@ from qutrit_bloch import density, triangle
 from qutrit_bloch.bloch import ValidationError
 from qutrit_bloch.gellmann import SQRT3
 
-from conftest import rho_from_bloch_oracle
+from conftest import rho_from_bloch_oracle, same_bits
 
 LOG3_2 = math.log(2) / math.log(3)
 
@@ -168,6 +168,21 @@ class TestMembership:
         for i, j in np.ndindex(2, 2):
             assert (q1[i, j], q2[i, j]) == triangle.diag_constraints((n3[i, j], n8[i, j]))
             assert np.array_equal(xs[:, i, j], triangle.diag_eigenvalues((n3[i, j], n8[i, j])))
+
+    @pytest.mark.parametrize(
+        "p",
+        [(np.zeros(3), 0.25), (np.linspace(-0.4, 0.4, 5)[None, :], np.linspace(-0.2, 0.4, 5)[:, None])],
+        ids=["vector-scalar", "row-column"],
+    )
+    def test_weights_and_entropy_broadcast_like_the_constraints(self, p):
+        shape = np.broadcast_shapes(*map(np.shape, p))
+        xs = triangle.diag_eigenvalues(p)
+        entropy = triangle.diag_entropy(p)
+        assert xs.shape == (3, *shape) and entropy.shape == shape
+        for idx in np.ndindex(shape):
+            point = tuple(np.broadcast_to(c, shape)[idx] for c in p)
+            assert same_bits(xs[(slice(None), *idx)], triangle.diag_eigenvalues(point))
+            assert same_bits(entropy[idx], triangle.diag_entropy(point))
 
     @given(in_box_point)
     @settings(deadline=None, max_examples=300)
@@ -359,6 +374,60 @@ class TestEntropyGrid:
     def test_in_region_fraction_near_half(self):
         grid = triangle.entropy_grid(200)
         assert abs(grid.in_region.mean() - 0.5) <= 0.01
+
+
+def clipped_entropy(weights):
+    """mixing_entropy written with np.clip and one log per weight."""
+    xs = np.clip(np.asarray(weights, dtype=float), 0.0, None)
+    return -(xs * np.log(np.where(xs > 0.0, xs, 1.0))).sum(axis=0) / math.log(3.0) + 0.0
+
+
+def lattice_weights(resolution):
+    """The weights (i, j, n - i - j)/n as a (3, n + 1, n + 1) array, NaN off the lattice."""
+    n = resolution - 1
+    k = np.arange(n + 1)
+    rest = n - np.add.outer(k, k)
+    return np.array(np.broadcast_arrays(k[:, None], k, np.where(rest >= 0, rest, np.nan))) / n
+
+
+def gathered_cells(above, n):
+    """The crossed cells by gathering the corners of every lattice cell."""
+    rank = np.add.outer(np.arange(n + 1), np.arange(n + 1)).ravel()
+    up, down = np.flatnonzero(rank < n), np.flatnonzero(rank < n - 1)
+    cells = np.hstack([(up, up + 1, up + n + 1), (down + n + 2, down + n + 1, down + 1)])
+    side = above[cells]
+    return cells[:, (side != side[0]).any(axis=0)]
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 64, 257])
+class TestLatticeKernelsBitForBit:
+    """The triangle kernels against the direct formulations, NaN bits included."""
+
+    def test_lattice_entropy_is_the_entropy_of_the_weights(self, resolution):
+        entropy = triangle._lattice_entropy(resolution)
+        weights = lattice_weights(resolution)
+        assert same_bits(entropy, density.mixing_entropy(weights))
+        assert same_bits(entropy, clipped_entropy(weights))
+
+    def test_grid_entropy_is_the_entropy_of_the_meshgrid(self, resolution):
+        grid = triangle.entropy_grid(resolution)
+        weights = triangle.diag_eigenvalues(np.meshgrid(grid.n3, grid.n8))
+        assert same_bits(grid.entropy, np.where(grid.in_region, density.mixing_entropy(weights), np.nan))
+        assert same_bits(grid.entropy, np.where(grid.in_region, clipped_entropy(weights), np.nan))
+
+    def test_crossed_cells_are_the_gathered_ones(self, resolution):
+        n = resolution - 1
+        entropy = triangle._lattice_entropy(resolution)
+        lattice = np.unique(entropy[(entropy > 0.0) & (entropy < 1.0)])
+        # levels on lattice values put corners at b == 0, which count as above
+        on_lattice = lattice[:: max(1, len(lattice) // 7)].tolist()
+        tried_zero = False
+        for level in [0.1, 0.436, 0.5, 0.7, 0.999, *on_lattice]:
+            b = (entropy - level).ravel()
+            tried_zero |= bool((b == 0.0).any())
+            above = b >= 0.0
+            assert np.array_equal(triangle._crossed_cells(above, n), gathered_cells(above, n))
+        assert tried_zero == (resolution > 2)
 
 
 class TestContours:
