@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bloch import DEFAULT_TOL, ValidationError, _require_state
-from .gellmann import _LAMBDA, _project
+from .bloch import DEFAULT_TOL, ValidationError, _checked_matrix, _require_all, _require_state
+from .gellmann import _LAMBDA, _dot_lambda, _project
 
 UNITARY_TOL = 1e-12
 # orbit_sample draws and rotates this many samples at a time, which bounds its
@@ -42,16 +42,15 @@ _PAULI.flags.writeable = False
 
 def _validate_special_unitary(u, dim: int, tol: float = UNITARY_TOL) -> np.ndarray:
     """Check a dim x dim special unitary, or a (..., dim, dim) stack of them."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape[-2:] != (dim, dim):
-        raise ValidationError(f"expected a {dim}x{dim} matrix, got shape {u.shape}")
-    dev = float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(dim))))
-    if dev > tol:
-        raise ValidationError(f"not unitary: max |U^dag U - I| = {dev:.3e}")
+    u = _checked_matrix(u, dim)
+    dev = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(dim)).max(axis=(-2, -1))
     det = np.linalg.det(u)
-    bad = np.abs(det - 1.0) > tol
-    if np.any(bad):
-        raise ValidationError(f"not special unitary: det = {complex(det[bad][0]):.17g}")
+    _require_all(
+        [
+            (dev <= tol, dev, "not unitary: max |U^dag U - I| = {:.3e}"),
+            (np.abs(det - 1.0) <= tol, det, "not special unitary: det = {:.17g}"),
+        ]
+    )
     return u
 
 
@@ -112,7 +111,7 @@ def orbit_sample(n, count: int, seed: int, tol: float = DEFAULT_TOL) -> np.ndarr
     if count < 1:
         raise ValueError("count must be at least 1")
     # The identity part of rho commutes with U, so only n.lambda is rotated.
-    traceless = np.einsum("j,jab->ab", n, _LAMBDA)
+    traceless = _dot_lambda(n)
     rng = np.random.default_rng(seed)
     out = np.empty((count, 8))
     for start in range(0, count, _ORBIT_CHUNK):

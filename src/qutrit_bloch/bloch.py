@@ -63,6 +63,16 @@ def _checked(values) -> tuple[np.ndarray, bool]:
     return n, safe
 
 
+def _checked_matrix(values, dim: int) -> np.ndarray:
+    """Coerce to a complex (..., dim, dim) array: the one check of every matrix input."""
+    a = np.asarray(values, dtype=complex)
+    if a.shape[-2:] != (dim, dim):
+        raise ValidationError(f"expected a {dim}x{dim} matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix entries must be finite")
+    return a
+
+
 def as_bloch_vector(values) -> np.ndarray:
     """Coerce to a (..., 8) float array, rejecting non-finite entries."""
     return _checked(values)[0]
@@ -183,7 +193,8 @@ def _require_all(checks) -> None:
     """Raise for the first entry, in C order, that fails one of the checks.
 
     checks are (ok, value, message) triples over one shape, in the order one
-    entry is checked; the entry's first failing check gives the message.
+    entry is checked; the entry's first failing check formats its message
+    with the entry's value, or with each field of a tuple value.
     """
     ok = checks[0][0]
     for passed, _, _ in checks[1:]:
@@ -193,7 +204,8 @@ def _require_all(checks) -> None:
     first = np.argmin(ok)
     for passed, value, message in checks:
         if not np.ravel(passed)[first]:
-            raise ValidationError(message.format(np.ravel(value)[first]))
+            fields = value if isinstance(value, tuple) else (value,)
+            raise ValidationError(message.format(*(np.broadcast_to(v, np.shape(ok)).flat[first] for v in fields)))
 
 
 def is_mixed_state(n, tol: float = DEFAULT_TOL):

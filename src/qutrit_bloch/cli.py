@@ -341,6 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Built per call, not cached: a process runs one command, and the
+    # library keeps no module-level caches.
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

@@ -28,8 +28,8 @@ import math
 
 import numpy as np
 
-from .bloch import DEFAULT_TOL, ValidationError, _require_all, _require_state, as_bloch_vector
-from .gellmann import _LAMBDA, SQRT3, _project
+from .bloch import DEFAULT_TOL, ValidationError, _checked_matrix, _require_all, _require_state, as_bloch_vector
+from .gellmann import _LAMBDA, SQRT3, _dot_lambda, _project
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -40,7 +40,7 @@ _LN3 = math.log(3.0)
 
 def _bloch_matrix(n) -> np.ndarray:
     """(1/3)(I + sqrt(3) n.lambda) of a validated (..., 8) array."""
-    return (_EYE3 + SQRT3 * np.einsum("...i,ijk->...jk", n, _LAMBDA)) / 3.0
+    return (_EYE3 + SQRT3 * _dot_lambda(n)) / 3.0
 
 
 def bloch_matrix(n) -> np.ndarray:
@@ -70,11 +70,7 @@ def to_bloch(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
     order, that fails Hermiticity or trace, then for the first whose vector
     is not a state.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (3, 3):
-        raise ValidationError(f"density matrix must be 3x3, got shape {rho.shape}")
-    if not np.isfinite(rho.view(float)).all():
-        raise ValidationError("density matrix entries must be finite")
+    rho = _checked_matrix(rho, 3)
     herm_dev = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     trace_dev = abs(rho.trace(axis1=-2, axis2=-1) - 1.0)
     _require_all(
@@ -94,11 +90,7 @@ def eigvals_hermitian_3x3(mat) -> np.ndarray:
     ValidationError on a wrong shape or a non-finite entry; no other
     validation is performed here.
     """
-    a = np.asarray(mat, dtype=complex)
-    if a.shape[-2:] != (3, 3):
-        raise ValidationError(f"expected a 3x3 matrix, got shape {a.shape}")
-    if not np.isfinite(a.view(float)).all():
-        raise ValidationError("matrix entries must be finite")
+    a = _checked_matrix(mat, 3)
     return np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2)))[..., ::-1]
 
 

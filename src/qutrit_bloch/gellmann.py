@@ -104,6 +104,11 @@ _F_DENSE = _dense(_F_TABLE, antisymmetric=True)
 _D_DENSE = _dense(_D_TABLE, antisymmetric=False)
 
 
+def _dot_lambda(n) -> np.ndarray:
+    """n.lambda = sum_i n_i lambda_i of a (..., 8) array; _project(., _LAMBDA) inverts it."""
+    return np.einsum("...i,iab->...ab", n, _LAMBDA)
+
+
 def _project(m, generators: np.ndarray) -> np.ndarray:
     """(1/2) Re Tr(g_i m) for each generator g_i, over the trailing (d, d) axes of m."""
     return 0.5 * np.einsum("iab,...ba->...i", generators, m).real

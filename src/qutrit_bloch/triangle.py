@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import DEFAULT_TOL, ValidationError, _in_unit_interval
+from .bloch import DEFAULT_TOL, ValidationError, _in_unit_interval, _require_all
 from .density import _LN3, _xlogx, mixing_entropy
 from .gellmann import SQRT3
 
@@ -91,10 +91,11 @@ def diag_constraints(p):
     return q1, q2
 
 
-def in_triangle(p, tol: float = DEFAULT_TOL) -> bool:
-    """True when both constraint polynomials lie in [-tol, 1 + tol]."""
+def in_triangle(p, tol: float = DEFAULT_TOL) -> bool | np.ndarray:
+    """True when both constraint polynomials lie in [-tol, 1 + tol]; one answer per point."""
     q1, q2 = diag_constraints(p)
-    return bool(np.all(_in_unit_interval(q1, tol) & _in_unit_interval(q2, tol)))
+    inside = _in_unit_interval(q1, tol) & _in_unit_interval(q2, tol)
+    return bool(inside) if np.ndim(inside) == 0 else inside
 
 
 def diag_eigenvalues(p) -> np.ndarray:
@@ -116,10 +117,9 @@ def diag_eigenvalues(p) -> np.ndarray:
     return x
 
 
-def diag_entropy(p, tol: float = DEFAULT_TOL) -> float:
-    """Entropy of mixing at a diagonal point inside the triangle."""
-    if not in_triangle(p, tol):
-        raise ValidationError(f"point {tuple(p)} is outside the state triangle")
+def diag_entropy(p, tol: float = DEFAULT_TOL) -> float | np.ndarray:
+    """Entropy of mixing at diagonal points inside the triangle; raises for the first outside."""
+    _require_all([(in_triangle(p, tol), tuple(p), "point ({}, {}) is outside the state triangle")])
     return mixing_entropy(diag_eigenvalues(p))
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,44 @@ class TestAdjointSU3:
             np.einsum("iab,...bc,jcd,...ad->...ij", generators, us, generators, us.conj())
         )
         assert np.max(np.abs(ad(us) - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("ad", [adjoint.adjoint_su3, adjoint.adjoint_su2], ids=["su3", "su2"])
+    @pytest.mark.parametrize("fill", ["all-nan", "all-inf", "one-nan"])
+    def test_non_finite_matrix_is_rejected_without_a_warning(self, ad, fill):
+        dim = 3 if ad is adjoint.adjoint_su3 else 2
+        u = np.eye(dim, dtype=complex)
+        if fill == "one-nan":
+            u[0, 1] = np.nan
+        else:
+            u[:] = np.nan if fill == "all-nan" else np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="matrix entries must be finite"):
+                ad(u)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.ones((3, 3)), adjoint.haar_random_su3(1) * np.exp(1j * 0.3)],
+        ids=["non-unitary", "wrong-determinant"],
+    )
+    def test_stack_raises_the_message_of_its_bad_matrix(self, bad):
+        us = np.array([adjoint.haar_random_su3(seed) for seed in range(4)])
+        us[2] = bad
+        with pytest.raises(ValidationError) as single:
+            adjoint.adjoint_su3(bad)
+        with pytest.raises(ValidationError) as batch:
+            adjoint.adjoint_su3(us.reshape(2, 2, 3, 3))
+        assert str(batch.value) == str(single.value)
+
+    def test_stack_raises_for_its_first_bad_matrix_in_c_order(self):
+        us = np.array([adjoint.haar_random_su3(seed) for seed in range(4)])
+        us[1] *= np.exp(1j * 0.3)  # unitary, wrong determinant
+        us[3] = np.ones((3, 3))  # not unitary
+        with pytest.raises(ValidationError) as single:
+            adjoint.adjoint_su3(us[1])
+        with pytest.raises(ValidationError) as batch:
+            adjoint.adjoint_su3(us.reshape(2, 2, 3, 3))
+        assert str(batch.value) == str(single.value)
 
     def test_stack_with_one_non_special_member_is_rejected(self):
         us = np.array([adjoint.haar_random_su3(seed) for seed in range(3)])

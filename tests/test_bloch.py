@@ -173,6 +173,27 @@ class TestPurity:
             assert bloch.is_pure(n) == (res <= 1e-10)
 
 
+class TestExactBoundaries:
+    """Inputs that sit exactly on a bound of a gate, tested at tol = 0."""
+
+    def test_vertex_g_is_pure_and_a_state(self):
+        assert bloch.state_constraints(N_G) == (1.0, 1.0)
+        assert bloch.is_pure(N_G, tol=0.0)
+        assert bloch.is_mixed_state(N_G, tol=0.0)
+
+    def test_origin_is_a_state(self):
+        assert bloch.state_constraints(np.zeros(8)) == (0.0, 0.0)
+        assert bloch.is_mixed_state(np.zeros(8), tol=0.0)
+
+    def test_vertex_r_rounds_below_pure(self):
+        # sqrt(3)/2 is inexact, so R's |n|^2 reads 1 - 1 ulp and its q2 1 - 2 ulp:
+        # at tol = 0 the vertex is a state but not pure.
+        below_one = np.nextafter(1.0, 0.0)
+        assert bloch.state_constraints(N_R) == (below_one, np.nextafter(below_one, 0.0))
+        assert bloch.is_mixed_state(N_R, tol=0.0)
+        assert not bloch.is_pure(N_R, tol=0.0)
+
+
 class TestMixedState:
     def test_origin_valid(self):
         assert bloch.is_mixed_state(np.zeros(8))

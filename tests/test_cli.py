@@ -311,6 +311,13 @@ class TestContour:
         assert code == 1
         assert "1.5" in err
 
+    @pytest.mark.parametrize("level", ["0", "1"])
+    def test_level_at_an_end_of_the_open_interval_exits_1(self, capsys, level):
+        code, out, err = run(capsys, ["contour", "--levels", level])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unparseable_level_exits_1(self, capsys):
         code, _, err = run(capsys, ["contour", "--levels", "0.5,abc"])
         assert code == 1

@@ -91,6 +91,12 @@ class TestToBloch:
         with pytest.raises(ValidationError):
             density.to_bloch(np.eye(2))
 
+    def test_transposed_view_reads_like_its_copy(self):
+        rho = density.from_bloch(np.array([0.1, 0.2, 0.0, 0.0, 0.1, 0.0, 0.0, 0.3]))
+        view = rho.T  # a complex array whose last axis is not contiguous
+        for fn in (density.to_bloch, density.eigvals_hermitian_3x3):
+            np.testing.assert_array_equal(fn(view), fn(view.copy()))
+
 
 class TestRoundTrips:
     @given(small_vec8)

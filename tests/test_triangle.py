@@ -159,6 +159,15 @@ class TestMembership:
         with pytest.raises(ValueError):
             triangle.in_triangle((0.0, 0.0), tol=-1.0)
 
+    def test_answers_per_point(self):
+        n3 = np.array([[0.0, 0.3], [-0.2, 0.0]])
+        n8 = np.array([[0.0, 0.6], [0.25, -1.1]])
+        inside = triangle.in_triangle((n3, n8))
+        assert inside.shape == (2, 2) and inside.tolist() == [[True, False], [True, False]]
+        for i, j in np.ndindex(2, 2):
+            single = triangle.in_triangle((n3[i, j], n8[i, j]))
+            assert type(single) is bool and single == inside[i, j]
+
     def test_constraints_broadcast_over_point_arrays(self):
         n3 = np.array([[0.0, 0.3], [-0.2, 0.1]])
         n8 = np.array([[0.0, -0.4], [0.25, 0.5]])
@@ -273,8 +282,13 @@ class TestEntropy:
         assert abs(triangle.diag_entropy(triangle.EDGE_MIDPOINTS["M_RB"]) - LOG3_2) <= 1e-12
 
     def test_rejects_outside_point(self):
-        with pytest.raises(ValidationError):
-            triangle.diag_entropy((0.0, 0.6))
+        with pytest.raises(ValidationError) as single:
+            triangle.diag_entropy((-0.4, 0.6))
+        assert str(single.value) == "point (-0.4, 0.6) is outside the state triangle"
+        # 5x5 points whose last row lies above the top edge: one line naming the first
+        with pytest.raises(ValidationError) as batch:
+            triangle.diag_entropy((np.linspace(-0.4, 0.4, 5)[None, :], np.linspace(-0.2, 0.6, 5)[:, None]))
+        assert str(batch.value) == str(single.value)
 
     def test_threefold_rotation_symmetry(self):
         # the 120-degree rotation permutes R -> B -> G
