@@ -56,7 +56,11 @@ class _Raw(str):
 
 
 def _to_json(obj) -> str:
-    """Deterministic JSON with fixed float formatting."""
+    """Deterministic JSON with fixed float formatting.
+
+    Library values go in as they are: a numpy array as its row-major flat
+    list, a complex number as [re, im], a tuple as an array.
+    """
     if isinstance(obj, _Raw):
         return obj
     if obj is None:
@@ -67,17 +71,23 @@ def _to_json(obj) -> str:
         return str(obj)
     if isinstance(obj, (float, np.floating)):
         return _fmt(obj)
+    if isinstance(obj, complex):
+        return f"[{_fmt(obj.real)},{_fmt(obj.imag)}]"
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
         return "{" + ",".join(f"{json.dumps(k)}:{_to_json(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, list):
+    if isinstance(obj, np.ndarray):
+        obj = obj.ravel().tolist()
+    if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_to_json(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _matrix_pairs(m: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(m, dtype=complex).ravel()]
+def _emit(**fields) -> int:
+    """Print the JSON document of fields, schema_version first; exit code 0."""
+    print(_to_json({"schema_version": SCHEMA_VERSION, **fields}))
+    return 0
 
 
 def _read_input(ns, what: str, ways: str, positional: bool):
@@ -131,7 +141,7 @@ def _vector_arg(ns) -> np.ndarray:
 
 def _matrix_arg(ns) -> np.ndarray:
     payload = _read_input(ns, "matrix", "JSON via --stdin or --input PATH", False)
-    if isinstance(payload, list) and len(payload) == 3 and all(isinstance(r, list) for r in payload):
+    if isinstance(payload, list) and len(payload) == 3 and all(type(r) is list for r in payload):
         payload = [entry for row in payload for entry in row]
     if not isinstance(payload, list) or len(payload) != 9:
         raise UsageError("matrix must be a row-major JSON array of 9 [re, im] pairs")
@@ -144,29 +154,22 @@ def cmd_check(ns) -> int:
     q1, q2 = state_constraints(n)
     valid = is_mixed_state(n, ns.tol)
     eigenvalues = eigvals_hermitian_3x3(bloch_matrix(n))
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "bloch": list(map(float, n)),
-        "q1": q1,
-        "q2": q2,
-        "is_state": valid,
-        "is_pure": is_pure(n, ns.tol),
-        "eigenvalues": list(map(float, eigenvalues)),
-        "entropy": mixing_entropy(eigenvalues) if valid else None,
-    }
-    print(_to_json(doc))
+    _emit(
+        bloch=n,
+        q1=q1,
+        q2=q2,
+        is_state=valid,
+        is_pure=is_pure(n, ns.tol),
+        eigenvalues=eigenvalues,
+        entropy=mixing_entropy(eigenvalues) if valid else None,
+    )
     return 0 if valid else 2
 
 
 def cmd_convert(ns) -> int:
     if ns.direction == "bloch-to-rho":
-        rho = from_bloch(_vector_arg(ns), ns.tol)
-        doc = {"schema_version": SCHEMA_VERSION, "density": _matrix_pairs(rho)}
-    else:
-        n = to_bloch(_matrix_arg(ns), ns.tol)
-        doc = {"schema_version": SCHEMA_VERSION, "bloch": list(map(float, n))}
-    print(_to_json(doc))
-    return 0
+        return _emit(density=from_bloch(_vector_arg(ns), ns.tol))
+    return _emit(bloch=to_bloch(_matrix_arg(ns), ns.tol))
 
 
 def _grid_lines(grid, inside: str, outside: str):
@@ -182,30 +185,20 @@ def _grid_lines(grid, inside: str, outside: str):
             yield inside % (n3, n8, q1, q2, entropy) if flag else outside % (n3, n8, q1, q2)
 
 
-def _grid_csv(grid) -> str:
-    """The grid as CSV text, header first, without a final newline."""
-    lines = _grid_lines(grid, "%s,%s,%.17g,%.17g,true,%.17g", "%s,%s,%.17g,%.17g,false,")
-    return "\n".join(["n3,n8,q1,q2,in_region,entropy", *lines])
-
-
 def cmd_triangle(ns) -> int:
     grid = entropy_grid(ns.resolution, ns.tol)
     if ns.format == "csv":
-        print(_grid_csv(grid))
-    else:
-        rows = _grid_lines(
-            grid, "[%s,%s,%.17g,%.17g,true,%.17g]", "[%s,%s,%.17g,%.17g,false,null]"
-        )
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "resolution": ns.resolution,
-            "n3_range": list(N3_RANGE),
-            "n8_range": list(N8_RANGE),
-            "columns": ["n3", "n8", "q1", "q2", "in_region", "entropy"],
-            "rows": _Raw("[" + ",".join(rows) + "]"),
-        }
-        print(_to_json(doc))
-    return 0
+        lines = _grid_lines(grid, "%s,%s,%.17g,%.17g,true,%.17g", "%s,%s,%.17g,%.17g,false,")
+        print("\n".join(["n3,n8,q1,q2,in_region,entropy", *lines]))
+        return 0
+    rows = _grid_lines(grid, "[%s,%s,%.17g,%.17g,true,%.17g]", "[%s,%s,%.17g,%.17g,false,null]")
+    return _emit(
+        resolution=ns.resolution,
+        n3_range=N3_RANGE,
+        n8_range=N8_RANGE,
+        columns=["n3", "n8", "q1", "q2", "in_region", "entropy"],
+        rows=_Raw("[" + ",".join(rows) + "]"),
+    )
 
 
 def _parse_levels(arg: str) -> list[float]:
@@ -224,51 +217,28 @@ def _parse_levels(arg: str) -> list[float]:
     return levels
 
 
-def _contour_document(resolution: int, contours) -> dict:
-    """The contour document for (level, polylines) pairs traced at resolution."""
-    entries = [
-        {"level": level, "polylines": [[[p.n3, p.n8] for p in line] for line in polylines]}
-        for level, polylines in contours
-    ]
-    return {"schema_version": SCHEMA_VERSION, "resolution": resolution, "levels": entries}
-
-
 def cmd_contour(ns) -> int:
-    entropy = _lattice_entropy(ns.resolution)
-    contours = [(lv, _lattice_contour(entropy, lv, ns.tol)) for lv in _parse_levels(ns.levels)]
-    print(_to_json(_contour_document(ns.resolution, contours)))
-    return 0
+    entropy = _lattice_entropy(ns.resolution)  # one lattice for every level
+    levels = [
+        {"level": level, "polylines": _lattice_contour(entropy, level, ns.tol)}
+        for level in _parse_levels(ns.levels)
+    ]
+    return _emit(resolution=ns.resolution, levels=levels)
 
 
 def cmd_orbit(ns) -> int:
     n = _vector_arg(ns)
     samples = orbit_sample(n, ns.count, ns.seed, ns.tol)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "seed": ns.seed,
-        "count": ns.count,
-        "bloch": list(map(float, n)),
-        "samples": _Raw("[" + ",".join(_SAMPLE_ROW % tuple(r) for r in samples.tolist()) + "]"),
-    }
-    print(_to_json(doc))
-    return 0
+    rows = ",".join(_SAMPLE_ROW % tuple(r) for r in samples.tolist())
+    return _emit(seed=ns.seed, count=ns.count, bloch=n, samples=_Raw(f"[{rows}]"))
 
 
 def cmd_named_points(ns) -> int:
-    points = []
-    for label, (point, rho) in named_points().items():
-        points.append(
-            {
-                "label": label,
-                "n3": point.n3,
-                "n8": point.n8,
-                "bloch": list(map(float, bloch_from_diag(point))),
-                "density": _matrix_pairs(rho),
-            }
-        )
-    doc = {"schema_version": SCHEMA_VERSION, "points": points}
-    print(_to_json(doc))
-    return 0
+    points = [
+        {"label": label, "n3": p.n3, "n8": p.n8, "bloch": bloch_from_diag(p), "density": rho}
+        for label, (p, rho) in named_points().items()
+    ]
+    return _emit(points=points)
 
 
 def _finite_float(text: str) -> float:

@@ -27,10 +27,12 @@ point meets the requested |E - level| tolerance.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bloch import DEFAULT_TOL, ValidationError, _in_unit_interval, _require_all
 from .density import _LN3, _xlogx, mixing_entropy
@@ -44,35 +46,57 @@ class DiagPoint(NamedTuple):
     n8: float
 
 
-VERTICES = {
-    "R": DiagPoint(SQRT3 / 2, 0.5),
-    "B": DiagPoint(-SQRT3 / 2, 0.5),
-    "G": DiagPoint(0.0, -1.0),
+# The (R, B, G) weights of each named state, whose density matrix is their
+# diagonal; the coordinates invert diag_eigenvalues.
+_WEIGHTS = {
+    "R": (1.0, 0.0, 0.0),
+    "B": (0.0, 1.0, 0.0),
+    "G": (0.0, 0.0, 1.0),
+    "M_RB": (0.5, 0.5, 0.0),
+    "M_RG": (0.5, 0.0, 0.5),
+    "M_BG": (0.0, 0.5, 0.5),
+    "O": (1 / 3, 1 / 3, 1 / 3),
 }
-EDGE_MIDPOINTS = {
-    "M_RB": DiagPoint(0.0, 0.5),
-    "M_RG": DiagPoint(SQRT3 / 4, -0.25),
-    "M_BG": DiagPoint(-SQRT3 / 4, -0.25),
-}
-ORIGIN = DiagPoint(0.0, 0.0)
+_POINTS = {k: DiagPoint(SQRT3 / 2 * (r - b), (r + b) / 2 - g) for k, (r, b, g) in _WEIGHTS.items()}
+VERTICES = {k: _POINTS[k] for k in ("R", "B", "G")}
+EDGE_MIDPOINTS = {k: _POINTS[k] for k in ("M_RB", "M_RG", "M_BG")}
+ORIGIN = _POINTS["O"]
 
 N3_RANGE = (-SQRT3 / 2, SQRT3 / 2)
 N8_RANGE = (-1.0, 0.5)
 
-_DENSITIES = {
-    "R": np.diag([1.0, 0.0, 0.0]).astype(complex),
-    "B": np.diag([0.0, 1.0, 0.0]).astype(complex),
-    "G": np.diag([0.0, 0.0, 1.0]).astype(complex),
-    "M_RB": np.diag([0.5, 0.5, 0.0]).astype(complex),
-    "M_RG": np.diag([0.5, 0.0, 0.5]).astype(complex),
-    "M_BG": np.diag([0.0, 0.5, 0.5]).astype(complex),
-    "O": (np.eye(3) / 3.0).astype(complex),
-}
+_REAL = (int, float, np.integer, np.floating, np.ndarray)
+
+
+def _checked_point(p):
+    """(n3, n8) of a point, or of point arrays: the one check of every triangle input.
+
+    Each coordinate must be a real number or a real array, and is returned as
+    given, so Python floats in give Python floats out.
+    """
+    try:
+        n3, n8 = p
+    except (TypeError, ValueError):
+        n3 = n8 = None
+    if not all(isinstance(c, _REAL) and np.asarray(c).dtype.kind in "iuf" for c in (n3, n8)):
+        raise ValidationError("a point must be a pair (n3, n8) of real numbers or real arrays")
+    return n3, n8
+
+
+def _check_resolution(resolution) -> int:
+    """resolution as an int of at least 2: the one check of every grid and lattice size."""
+    try:
+        resolution = operator.index(resolution)
+    except TypeError:
+        raise ValueError(f"resolution must be an integer, got {resolution!r}") from None
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    return resolution
 
 
 def bloch_from_diag(p) -> np.ndarray:
     """Embed (n3, n8) as the 8-vector with only components 3 and 8 set."""
-    n3, n8 = p
+    n3, n8 = _checked_point(p)
     n = np.zeros(8)
     n[2], n[7] = n3, n8
     return n
@@ -85,7 +109,7 @@ def diag_constraints(p):
     These are the restrictions of the full 8-vector state functionals.
     p = (n3, n8) may hold arrays of one shape; q1 and q2 then have it too.
     """
-    n3, n8 = p
+    n3, n8 = _checked_point(p)
     q1 = n3 * n3 + n8 * n8
     q2 = 2 * n8**3 - 6 * n3**2 * n8 + 3 * n3**2 + 3 * n8**2
     return q1, q2
@@ -107,7 +131,7 @@ def diag_eigenvalues(p) -> np.ndarray:
     The triple runs along the first axis: n3 and n8 broadcast to one shape S,
     and the result has shape (3, *S), the layout mixing_entropy takes.
     """
-    n3, n8 = p
+    n3, n8 = _checked_point(p)
     s = SQRT3 * n3
     x = np.empty((3, *np.broadcast(n3, n8).shape))
     x[0] = 1.0 + s + n8
@@ -119,7 +143,8 @@ def diag_eigenvalues(p) -> np.ndarray:
 
 def diag_entropy(p, tol: float = DEFAULT_TOL) -> float | np.ndarray:
     """Entropy of mixing at diagonal points inside the triangle; raises for the first outside."""
-    _require_all([(in_triangle(p, tol), tuple(p), "point ({}, {}) is outside the state triangle")])
+    p = _checked_point(p)
+    _require_all([(in_triangle(p, tol), p, "point ({}, {}) is outside the state triangle")])
     return mixing_entropy(diag_eigenvalues(p))
 
 
@@ -129,8 +154,7 @@ def named_points() -> dict[str, tuple[DiagPoint, np.ndarray]]:
     Maps label -> (triangle coordinates, density matrix), in the fixed order
     R, B, G, M_RB, M_RG, M_BG, O.
     """
-    coords = {**VERTICES, **EDGE_MIDPOINTS, "O": ORIGIN}
-    return {label: (coords[label], _DENSITIES[label].copy()) for label in coords}
+    return {k: (_POINTS[k], np.diag(w).astype(complex)) for k, w in _WEIGHTS.items()}
 
 
 @dataclass(frozen=True)
@@ -151,8 +175,7 @@ class EntropyGrid:
 
 def entropy_grid(resolution: int, tol: float = DEFAULT_TOL) -> EntropyGrid:
     """Evaluate constraints and entropy on a resolution x resolution grid."""
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    resolution = _check_resolution(resolution)
     n3 = np.linspace(*N3_RANGE, resolution)
     n8 = np.linspace(*N8_RANGE, resolution)
     # On the broadcast axes the cubes of n8 are taken R times, not R**2 times;
@@ -219,14 +242,10 @@ def _lattice_entropy(resolution: int) -> np.ndarray:
     """Entropy at the weights (i, j, n - i - j)/n, n = resolution - 1, as a
     (resolution, resolution) array indexed [i, j]; NaN where i + j > n, off
     the lattice."""
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    n = resolution - 1
-    k = np.arange(n + 1)
-    h = _xlogx(k / n)  # the n + 1 weights k/n are all the lattice has
-    rest = n - np.add.outer(k, k)
-    # off the lattice, rest < 0 picks the NaN appended at index n + 1
-    h_rest = np.append(h, np.nan)[np.where(rest >= 0, rest, n + 1)]
+    n = _check_resolution(resolution) - 1
+    h = _xlogx(np.arange(n + 1) / n)  # the n + 1 weights k/n are all the lattice has
+    # row i of the windows of (h[n], ..., h[0], NaN, ...) reads h[n - i - j], NaN past i + j = n
+    h_rest = sliding_window_view(np.concatenate([h[::-1], np.full(n, np.nan)]), n + 1)
     # mixing_entropy's sum, in its order: bit for bit the entropy of the weights
     return -((h[:, None] + h) + h_rest) / _LN3 + 0.0
 

@@ -282,8 +282,12 @@ class TestContour:
         from qutrit_bloch import cli, triangle
 
         levels, resolution = [0.3, 0.6, 0.9], 96
-        per_level = [(lv, triangle.equi_entropy_contour(lv, resolution=resolution)) for lv in levels]
-        expected = cli._to_json(cli._contour_document(resolution, per_level)) + "\n"
+        per_level = [
+            {"level": lv, "polylines": triangle.equi_entropy_contour(lv, resolution=resolution)}
+            for lv in levels
+        ]
+        document = {"schema_version": "1", "resolution": resolution, "levels": per_level}
+        expected = cli._to_json(document) + "\n"
         calls, lattice_entropy = [], triangle._lattice_entropy
 
         def counting_lattice(*args, **kwargs):
@@ -396,6 +400,20 @@ class TestFloatSerialization:
         code, out, _ = run(capsys, ["check", *vec])
         doc = json.loads(out)
         assert doc["bloch"] == [float(v) for v in vec]
+
+    def test_library_values_serialize_as_they_are(self):
+        from qutrit_bloch import cli
+
+        value = {
+            "real": np.array([[1.0, -0.0], [0.5, 2.0]]),
+            "complex": np.array([0.1 - 1j / 3]),
+            "scalar": complex(0.5, 0.0),
+            "tuple": (0.25, (1, None)),
+        }
+        assert cli._to_json(value) == (
+            '{"real":[1,-0,0.5,2],"complex":[[0.10000000000000001,-0.33333333333333331]],'
+            '"scalar":[0.5,0],"tuple":[0.25,[1,null]]}'
+        )
 
     def test_no_command_exits_1(self, capsys):
         code, _, _ = run(capsys, [])
@@ -573,7 +591,7 @@ class TestArgumentErrors:
 
 class TestEntropyLandscapeScript:
     def test_files_match_cli_output(self, capsys, monkeypatch, tmp_path):
-        from qutrit_bloch import triangle
+        from qutrit_bloch import cli, triangle
 
         argv = ["--resolution", "11", "--contour-resolution", "32", "--levels", "0.5,0.9"]
         monkeypatch.setattr(sys, "argv", ["entropy_landscape.py", *argv, "--outdir", str(tmp_path)])
@@ -583,6 +601,7 @@ class TestEntropyLandscapeScript:
             calls.append(args)
             return lattice_entropy(*args, **kwargs)
 
+        monkeypatch.setattr(cli, "_lattice_entropy", counting_lattice)
         monkeypatch.setattr(triangle, "_lattice_entropy", counting_lattice)
         runpy.run_path(str(ROOT / "scripts" / "entropy_landscape.py"), run_name="__main__")
         assert calls == [(32,)]  # one lattice per run, not one per level
@@ -591,6 +610,17 @@ class TestEntropyLandscapeScript:
         _, contours, _ = run(capsys, ["contour", "--levels", "0.5,0.9", "--resolution", "32"])
         assert (tmp_path / "triangle_grid.csv").read_text() == grid_csv
         assert (tmp_path / "contours.json").read_text() == contours
+
+
+    def test_tol_is_checked_by_the_cli(self, capsys, monkeypatch, tmp_path):
+        argv = ["entropy_landscape.py", "--resolution", "5", "--tol", "nan", "--outdir", str(tmp_path)]
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_path(str(ROOT / "scripts" / "entropy_landscape.py"), run_name="__main__")
+        assert exited.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--tol" in err
+        assert not (tmp_path / "triangle_grid.csv").exists()
 
 
 class TestOrbitStatisticsScript:

@@ -159,6 +159,20 @@ class TestMembership:
         with pytest.raises(ValueError):
             triangle.in_triangle((0.0, 0.0), tol=-1.0)
 
+    @pytest.mark.parametrize("bad", [(0.0,), np.zeros((3, 4)), ("a", 0.1)], ids=["one", "3x4", "str"])
+    @pytest.mark.parametrize(
+        "f", ["diag_constraints", "in_triangle", "diag_eigenvalues", "diag_entropy", "bloch_from_diag"]
+    )
+    def test_rejects_what_is_not_a_point_in_one_line(self, f, bad):
+        with pytest.raises(ValidationError, match="pair \\(n3, n8\\)") as err:
+            getattr(triangle, f)(bad)
+        assert "\n" not in str(err.value)
+
+    def test_a_point_of_python_floats_gives_python_floats(self):
+        q1, q2 = triangle.diag_constraints((0.5, -0.25))
+        assert type(q1) is float and type(q2) is float
+        assert (q1, q2) == (0.3125, 1.28125)
+
     def test_answers_per_point(self):
         n3 = np.array([[0.0, 0.3], [-0.2, 0.0]])
         n8 = np.array([[0.0, 0.6], [0.25, -1.1]])
@@ -329,6 +343,13 @@ class TestEntropyGrid:
     def test_rejects_small_resolution(self):
         with pytest.raises(ValueError):
             triangle.entropy_grid(1)
+
+    @pytest.mark.parametrize("resolution", [2.5, 1.0, "3"])
+    def test_rejects_a_resolution_that_is_not_an_integer(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            triangle.entropy_grid(resolution)
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            triangle.equi_entropy_contour(0.5, 1e-9, resolution)
 
     def test_shapes_and_axes(self):
         grid = triangle.entropy_grid(11)
