@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from .triangle import (
 
 SCHEMA_VERSION = "1"
 _SAMPLE_ROW = "[" + ",".join(["%.17g"] * 8) + "]"  # one orbit sample in JSON
+_SAMPLE_BLOCK = 1024  # orbit samples per write
 
 
 class UsageError(Exception):
@@ -51,18 +53,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-class _Raw(str):
-    """JSON text that `_to_json` writes as it is."""
-
-
 def _to_json(obj) -> str:
     """Deterministic JSON with fixed float formatting.
 
     Library values go in as they are: a numpy array as its row-major flat
     list, a complex number as [re, im], a tuple as an array.
     """
-    if isinstance(obj, _Raw):
-        return obj
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -85,9 +81,31 @@ def _to_json(obj) -> str:
 
 
 def _emit(**fields) -> int:
-    """Print the JSON document of fields, schema_version first; exit code 0."""
-    print(_to_json({"schema_version": SCHEMA_VERSION, **fields}))
+    """Write the JSON document of fields, schema_version first; exit code 0.
+
+    A field given as an iterator of JSON chunks, each a comma-joined run of
+    array items, is written as one array, a chunk per write, so a long
+    document is never held whole; every other field goes through _to_json.
+    """
+    sys.stdout.writelines(_document({"schema_version": SCHEMA_VERSION, **fields}))
     return 0
+
+
+def _document(fields):
+    """The JSON text of fields and its newline, in the order it is written."""
+    text = "{"
+    for k, (key, value) in enumerate(fields.items()):
+        text += ("," if k else "") + json.dumps(key) + ":"
+        if isinstance(value, Iterator):
+            yield text + "["
+            for c, chunk in enumerate(value):
+                if c:
+                    yield ","
+                yield chunk
+            text = "]"
+        else:
+            text += _to_json(value)
+    yield text + "}\n"
 
 
 def _read_input(ns, what: str, ways: str, positional: bool):
@@ -172,32 +190,35 @@ def cmd_convert(ns) -> int:
     return _emit(bloch=to_bloch(_matrix_arg(ns), ns.tol))
 
 
-def _grid_lines(grid, inside: str, outside: str):
-    """Yield one line per grid point, n8-major.  Both %-templates take the n3
-    and n8 strings and the floats q1, q2; `inside`, the template for points in
-    the region, also takes the entropy."""
+def _grid_rows(grid, inside: str, outside: str):
+    """Yield the lines of each grid row as one list, n8-major.  Both
+    %-templates take the n3 and n8 strings and the floats q1, q2; `inside`,
+    the template for points in the region, also takes the entropy."""
     n3s = [_fmt(v) for v in grid.n3.tolist()]
     rows = zip(grid.n8.tolist(), grid.q1, grid.q2, grid.in_region, grid.entropy)
     for v8, q1s, q2s, flags, entropies in rows:
         n8 = _fmt(v8)
         points = zip(n3s, q1s.tolist(), q2s.tolist(), flags.tolist(), entropies.tolist())
-        for n3, q1, q2, flag, entropy in points:
-            yield inside % (n3, n8, q1, q2, entropy) if flag else outside % (n3, n8, q1, q2)
+        yield [
+            inside % (n3, n8, q1, q2, entropy) if flag else outside % (n3, n8, q1, q2)
+            for n3, q1, q2, flag, entropy in points
+        ]
 
 
 def cmd_triangle(ns) -> int:
     grid = entropy_grid(ns.resolution, ns.tol)
     if ns.format == "csv":
-        lines = _grid_lines(grid, "%s,%s,%.17g,%.17g,true,%.17g", "%s,%s,%.17g,%.17g,false,")
-        print("\n".join(["n3,n8,q1,q2,in_region,entropy", *lines]))
+        rows = _grid_rows(grid, "%s,%s,%.17g,%.17g,true,%.17g\n", "%s,%s,%.17g,%.17g,false,\n")
+        sys.stdout.write("n3,n8,q1,q2,in_region,entropy\n")
+        sys.stdout.writelines(map("".join, rows))
         return 0
-    rows = _grid_lines(grid, "[%s,%s,%.17g,%.17g,true,%.17g]", "[%s,%s,%.17g,%.17g,false,null]")
+    rows = _grid_rows(grid, "[%s,%s,%.17g,%.17g,true,%.17g]", "[%s,%s,%.17g,%.17g,false,null]")
     return _emit(
         resolution=ns.resolution,
         n3_range=N3_RANGE,
         n8_range=N8_RANGE,
         columns=["n3", "n8", "q1", "q2", "in_region", "entropy"],
-        rows=_Raw("[" + ",".join(rows) + "]"),
+        rows=map(",".join, rows),
     )
 
 
@@ -229,8 +250,11 @@ def cmd_contour(ns) -> int:
 def cmd_orbit(ns) -> int:
     n = _vector_arg(ns)
     samples = orbit_sample(n, ns.count, ns.seed, ns.tol)
-    rows = ",".join(_SAMPLE_ROW % tuple(r) for r in samples.tolist())
-    return _emit(seed=ns.seed, count=ns.count, bloch=n, samples=_Raw(f"[{rows}]"))
+    blocks = (
+        ",".join(_SAMPLE_ROW % tuple(r) for r in samples[k : k + _SAMPLE_BLOCK].tolist())
+        for k in range(0, len(samples), _SAMPLE_BLOCK)
+    )
+    return _emit(seed=ns.seed, count=ns.count, bloch=n, samples=blocks)
 
 
 def cmd_named_points(ns) -> int:

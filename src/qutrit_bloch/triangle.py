@@ -95,10 +95,13 @@ def _check_resolution(resolution) -> int:
 
 
 def bloch_from_diag(p) -> np.ndarray:
-    """Embed (n3, n8) as the 8-vector with only components 3 and 8 set."""
+    """Embed (n3, n8) as the 8-vector with only components 3 and 8 set.
+
+    n3 and n8 broadcast to one shape S, and the result has shape (*S, 8).
+    """
     n3, n8 = _checked_point(p)
-    n = np.zeros(8)
-    n[2], n[7] = n3, n8
+    n = np.zeros((*np.broadcast(n3, n8).shape, 8))
+    n[..., 2], n[..., 7] = n3, n8
     return n
 
 
@@ -132,13 +135,16 @@ def diag_eigenvalues(p) -> np.ndarray:
     and the result has shape (3, *S), the layout mixing_entropy takes.
     """
     n3, n8 = _checked_point(p)
-    s = SQRT3 * n3
     x = np.empty((3, *np.broadcast(n3, n8).shape))
-    x[0] = 1.0 + s + n8
-    x[1] = 1.0 - s + n8
-    x[2] = 1.0 - 2.0 * n8
-    x /= 3.0
+    x[0], x[1], x[2] = _weights(n3, n8)
     return x
+
+
+def _weights(n3, n8):
+    """The three weights of diag_eigenvalues, each in the shape its own inputs
+    broadcast to: the third depends on n8 alone."""
+    s = SQRT3 * n3
+    return (1.0 + s + n8) / 3.0, (1.0 - s + n8) / 3.0, (1.0 - 2.0 * n8) / 3.0
 
 
 def diag_entropy(p, tol: float = DEFAULT_TOL) -> float | np.ndarray:
@@ -178,11 +184,16 @@ def entropy_grid(resolution: int, tol: float = DEFAULT_TOL) -> EntropyGrid:
     resolution = _check_resolution(resolution)
     n3 = np.linspace(*N3_RANGE, resolution)
     n8 = np.linspace(*N8_RANGE, resolution)
+    # The third weight depends on n8 alone, so no (3, R, R) stack is built;
+    # the sum is mixing_entropy's, in its order, so each entropy is its bit
+    # for bit.  It comes first, so its temporaries are gone before q1 and q2.
+    x0, x1, x2 = _weights(n3, n8[:, None])
+    entropy = -((_xlogx(x0) + _xlogx(x1)) + _xlogx(x2)) / _LN3 + 0.0
     # On the broadcast axes the cubes of n8 are taken R times, not R**2 times;
     # q1 and q2 each mix both axes, so they come out (R, R).
     q1, q2 = diag_constraints((n3, n8[:, None]))
     in_region = _in_unit_interval(q1, tol) & _in_unit_interval(q2, tol)
-    entropy = np.where(in_region, mixing_entropy(diag_eigenvalues((n3, n8[:, None]))), np.nan)
+    entropy[~in_region] = np.nan
     return EntropyGrid(n3=n3, n8=n8, q1=q1, q2=q2, in_region=in_region, entropy=entropy)
 
 

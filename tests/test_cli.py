@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from qutrit_bloch.adjoint import _ORBIT_CHUNK
-from qutrit_bloch.cli import main
+from qutrit_bloch.cli import _SAMPLE_BLOCK, main
 from qutrit_bloch.gellmann import SQRT3
 
 from conftest import bloch_from_rho_oracle
 
 ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "tests" / "data" / "cli"
+CASES = {c["name"]: c for c in json.loads((CORPUS / "cases.json").read_text())}
 ORIGIN = ["0", "0", "0", "0", "0", "0", "0", "0"]
 VERTEX_R = ["0", "0", repr(SQRT3 / 2), "0", "0", "0", "0", "0.5"]
 HUGE_INT = 10**400  # a JSON integer that no double holds
@@ -496,6 +498,89 @@ class TestRowWriterBytes:
         }
         argv = ["orbit", *map(repr, n), "--count", str(count), "--seed", "3"]
         assert run(capsys, argv) == (0, _reference_json(doc) + "\n", "")
+
+
+class RecordingStdout:
+    """A stdout that keeps every write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+def run_recorded(monkeypatch, argv, stdin=""):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    monkeypatch.setattr("sys.stdout", RecordingStdout())
+    return main(argv), sys.stdout.writes
+
+
+def envelope_and_items(text, key):
+    """The document text outside the array `key` (all of it but the rows, for
+    CSV), and the text of each array item with its separator."""
+    if key is None:
+        header, *lines = text.splitlines(keepends=True)
+        return header, lines
+    head, _, rest = text.partition(f'"{key}":[[')
+    items = rest[: -len("]]}\n")].split("],[")
+    return head, [f"[{item}]," for item in items]
+
+
+class TestStreaming:
+    """triangle and orbit write a grid row or a sample block per write, and
+    nothing at all when they fail."""
+
+    @pytest.mark.parametrize(
+        "name, key, per_write",
+        [
+            ("triangle-csv-7", None, 7),
+            ("triangle-json-7", "rows", 7),
+            ("triangle-csv-64", None, 64),
+            ("triangle-json-64", "rows", 64),
+            ("orbit-64", "samples", _SAMPLE_BLOCK),
+        ],
+    )
+    def test_corpus_documents_in_row_sized_writes(self, monkeypatch, name, key, per_write):
+        case = CASES[name]
+        code, writes = run_recorded(monkeypatch, case["argv"], case["stdin"] or "")
+        expected = (CORPUS / f"{name}.out").read_text()
+        assert code == case["exit_code"] == 0
+        assert "".join(writes) == expected
+        envelope, items = envelope_and_items(expected, key)
+        assert max(map(len, writes)) <= len(envelope) + per_write * max(map(len, items))
+        assert len(writes) >= len(items) / per_write
+
+    def test_orbit_writes_one_sample_block_at_a_time(self, monkeypatch):
+        count = 2 * _SAMPLE_BLOCK + 1
+        argv = ["orbit", *ORIGIN[:-1], "0.25", "--count", str(count), "--seed", "5"]
+        code, writes = run_recorded(monkeypatch, argv)
+        assert code == 0
+        _, items = envelope_and_items("".join(writes), "samples")
+        assert len(items) == count
+        blocks = [w for w in writes if w.startswith("[") and w.endswith("]")]
+        assert [w.count("],[") + 1 for w in blocks] == [_SAMPLE_BLOCK, _SAMPLE_BLOCK, 1]
+
+    @pytest.mark.parametrize(
+        "argv, exit_code",
+        [
+            (["triangle", "--resolution", "1"], 1),
+            (["triangle", "--resolution", "1", "--format", "json"], 1),
+            (["triangle", "--resolution", "3", "--tol", "-1"], 1),
+            (["orbit", "1", *ORIGIN[1:]], 2),
+            (["orbit", *ORIGIN, "--count", "0"], 1),
+        ],
+        ids=["triangle-csv-resolution", "triangle-json-resolution", "triangle-tol", "orbit-not-a-state", "orbit-count"],
+    )
+    def test_failing_command_writes_nothing(self, monkeypatch, argv, exit_code):
+        code, writes = run_recorded(monkeypatch, argv)
+        assert code == exit_code
+        assert writes == []
 
 
 class TestArgumentErrors:

@@ -434,7 +434,7 @@ def gathered_cells(above, n):
     return cells[:, (side != side[0]).any(axis=0)]
 
 
-@pytest.mark.parametrize("resolution", [2, 3, 64, 257])
+@pytest.mark.parametrize("resolution", [2, 3, 7, 64, 100, 257])
 class TestLatticeKernelsBitForBit:
     """The triangle kernels against the direct formulations, NaN bits included."""
 
@@ -571,5 +571,24 @@ class TestContours:
 class TestBlochEmbedding:
     def test_components(self):
         n = triangle.bloch_from_diag((0.3, -0.4))
+        assert n.shape == (8,)
         assert n[2] == 0.3 and n[7] == -0.4
         assert np.all(n[[0, 1, 3, 4, 5, 6]] == 0)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            np.zeros((2, 3)),
+            (np.zeros(3), np.zeros(3)),
+            (np.linspace(-0.4, 0.4, 5)[None, :], np.linspace(-0.2, 0.4, 4)[:, None]),
+        ],
+        ids=["2x3-array", "pair-of-vectors", "row-column"],
+    )
+    def test_broadcasts_like_the_weights(self, p):
+        shape = np.broadcast_shapes(*map(np.shape, p))
+        n = triangle.bloch_from_diag(p)
+        assert n.shape == (*shape, 8)
+        for idx in np.ndindex(shape):
+            point = tuple(np.broadcast_to(c, shape)[idx] for c in p)
+            assert same_bits(n[idx], triangle.bloch_from_diag(point))
+        assert same_bits(n[..., [2, 7]], np.moveaxis(np.broadcast_arrays(*p), 0, -1))
