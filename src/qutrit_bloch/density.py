@@ -18,8 +18,7 @@ uses base-3 logarithms, normalizing the maximally mixed state to 1.
 Every function broadcasts over leading axes: (..., 8) vectors and (..., 3, 3)
 matrices give stacks of results, while one vector or matrix gives the same
 Python types and bits as a scalar-only implementation.  Each public call
-validates its input once; q2's cubic term is bloch's `_self_star`, the one
-d-contraction of every state gate.
+checks its input once; internal code calls the kernels behind the checks.
 """
 
 from __future__ import annotations
@@ -70,6 +69,11 @@ def to_bloch(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
     order, that fails Hermiticity or trace, then for the first whose vector
     is not a state.
     """
+    return _checked_density(rho, tol)[1]
+
+
+def _checked_density(rho, tol: float = DEFAULT_TOL):
+    """The one gate of every density matrix, to_bloch's: the checked complex rho and its vector."""
     rho = _checked_matrix(rho, 3)
     herm_dev = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     trace_dev = abs(rho.trace(axis1=-2, axis2=-1) - 1.0)
@@ -79,31 +83,31 @@ def to_bloch(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
             (trace_dev <= TRACE_TOL, trace_dev, "trace must be 1: |Tr rho - 1| = {:.3e}"),
         ]
     )
-    return _require_state(SQRT3 * _project(rho, _LAMBDA), tol)
+    return rho, _require_state(SQRT3 * _project(rho, _LAMBDA), tol)
 
 
 def eigvals_hermitian_3x3(mat) -> np.ndarray:
     """Eigenvalues of a 3x3 Hermitian matrix, descending; stacks broadcast.
 
-    LAPACK's symmetric solver (np.linalg.eigvalsh) on the Hermitian part of
-    mat, accurate to O(eps) at (near-)degenerate spectra too.  Raises
-    ValidationError on a wrong shape or a non-finite entry; no other
+    Raises ValidationError on a wrong shape or a non-finite entry; no other
     validation is performed here.
     """
-    a = _checked_matrix(mat, 3)
+    return _eigvalsh(_checked_matrix(mat, 3))
+
+
+def _eigvalsh(a) -> np.ndarray:
+    """Descending eigenvalues of the Hermitian part of a checked (..., 3, 3) complex array."""
     return np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2)))[..., ::-1]
 
 
 def validate_density(rho) -> np.ndarray:
     """Run to_bloch's checks on rho (default tol); return rho as a complex array."""
-    to_bloch(rho)
-    return np.asarray(rho, dtype=complex)
+    return _checked_density(rho)[0]
 
 
 def spectrum(rho) -> np.ndarray:
     """Eigenvalues (x1 >= x2 >= x3) of a valid density matrix; stacks broadcast."""
-    to_bloch(rho)
-    return eigvals_hermitian_3x3(rho)
+    return _eigvalsh(_checked_density(rho)[0])
 
 
 def char_poly_coeffs(rho):
@@ -114,11 +118,9 @@ def char_poly_coeffs(rho):
     Valid states satisfy c2 in [0, 1/3] and c3 in [0, 1/27].  One matrix
     gives three floats, a (..., 3, 3) stack three arrays of shape (...).
     """
-    to_bloch(rho)
-    rho = np.asarray(rho, dtype=complex)
+    rho = _checked_density(rho)[0]
     c1 = rho.trace(axis1=-2, axis2=-1).real
-    tr2 = np.einsum("...ab,...ba->...", rho, rho).real
-    c2 = (c1 * c1 - tr2) / 2.0
+    c2 = (c1 * c1 - np.einsum("...ab,...ba->...", rho, rho).real) / 2.0
     c3 = np.linalg.det(rho).real
     return (float(c1), float(c2), float(c3)) if rho.ndim == 2 else (c1, c2, c3)
 
@@ -134,17 +136,20 @@ def mixing_entropy(eigenvalues) -> float | np.ndarray:
     xs = np.asarray(eigenvalues, dtype=float)
     if xs.shape[:1] != (3,):
         raise ValidationError(f"eigenvalue triples must run along the first axis, got shape {xs.shape}")
-    return -_xlogx(xs).sum(axis=0) / _LN3 + 0.0  # +0.0 kills -0.0
+    return _entropy(*_xlogx(xs))
 
 
 def _xlogx(x) -> np.ndarray:
-    """x log x elementwise, with 0 log 0 = 0; entries below zero count as 0."""
-    x = np.maximum(x, 0.0)
+    """x log x elementwise in doubles, with 0 log 0 = 0; entries below zero count as 0."""
+    x = np.maximum(x, 0.0, dtype=float)
     return x * np.log(np.where(x > 0, x, 1))
+
+
+def _entropy(h0, h1, h2):
+    """The one entropy sum: -(h0 + h1 + h2)/ln 3 of x log x terms, in the order numpy sums a triple."""
+    return -((h0 + h1) + h2) / _LN3 + 0.0  # +0.0 kills -0.0
 
 
 def entropy_of_mixing(rho):
     """Entropy of mixing E(rho) = -sum_i x_i log3 x_i, in [0, 1]; stacks broadcast."""
-    # spectrum's triples run along the last axis, mixing_entropy's along the
-    # first; reversing the axes before and after keeps the leading ones in order.
-    return mixing_entropy(spectrum(rho).T).T
+    return _entropy(*np.moveaxis(_xlogx(spectrum(rho)), -1, 0))

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bloch import DEFAULT_TOL, ValidationError, _in_unit_interval, _require_all
-from .density import _LN3, _xlogx, mixing_entropy
+from .density import _LN3, _entropy, _xlogx
 from .gellmann import SQRT3
 
 
@@ -112,15 +112,17 @@ def diag_constraints(p):
     These are the restrictions of the full 8-vector state functionals.
     p = (n3, n8) may hold arrays of one shape; q1 and q2 then have it too.
     """
-    n3, n8 = _checked_point(p)
-    q1 = n3 * n3 + n8 * n8
-    q2 = 2 * n8**3 - 6 * n3**2 * n8 + 3 * n3**2 + 3 * n8**2
-    return q1, q2
+    return _diag_constraints(*_checked_point(p))
+
+
+def _diag_constraints(n3, n8):
+    """diag_constraints of checked coordinates."""
+    return n3 * n3 + n8 * n8, 2 * n8**3 - 6 * n3**2 * n8 + 3 * n3**2 + 3 * n8**2
 
 
 def in_triangle(p, tol: float = DEFAULT_TOL) -> bool | np.ndarray:
     """True when both constraint polynomials lie in [-tol, 1 + tol]; one answer per point."""
-    q1, q2 = diag_constraints(p)
+    q1, q2 = _diag_constraints(*_checked_point(p))
     inside = _in_unit_interval(q1, tol) & _in_unit_interval(q2, tol)
     return bool(inside) if np.ndim(inside) == 0 else inside
 
@@ -134,15 +136,11 @@ def diag_eigenvalues(p) -> np.ndarray:
     The triple runs along the first axis: n3 and n8 broadcast to one shape S,
     and the result has shape (3, *S), the layout mixing_entropy takes.
     """
-    n3, n8 = _checked_point(p)
-    x = np.empty((3, *np.broadcast(n3, n8).shape))
-    x[0], x[1], x[2] = _weights(n3, n8)
-    return x
+    return np.array(np.broadcast_arrays(*_weights(*_checked_point(p))), dtype=float)
 
 
 def _weights(n3, n8):
-    """The three weights of diag_eigenvalues, each in the shape its own inputs
-    broadcast to: the third depends on n8 alone."""
+    """The weights of diag_eigenvalues, each in its own inputs' broadcast shape: the third uses n8 alone."""
     s = SQRT3 * n3
     return (1.0 + s + n8) / 3.0, (1.0 - s + n8) / 3.0, (1.0 - 2.0 * n8) / 3.0
 
@@ -150,8 +148,9 @@ def _weights(n3, n8):
 def diag_entropy(p, tol: float = DEFAULT_TOL) -> float | np.ndarray:
     """Entropy of mixing at diagonal points inside the triangle; raises for the first outside."""
     p = _checked_point(p)
-    _require_all([(in_triangle(p, tol), p, "point ({}, {}) is outside the state triangle")])
-    return mixing_entropy(diag_eigenvalues(p))
+    outside = "point ({}, {}) is outside the state triangle"
+    _require_all([(_in_unit_interval(q, tol), p, outside) for q in _diag_constraints(*p)])
+    return _entropy(*map(_xlogx, _weights(*p)))
 
 
 def named_points() -> dict[str, tuple[DiagPoint, np.ndarray]]:
@@ -184,14 +183,12 @@ def entropy_grid(resolution: int, tol: float = DEFAULT_TOL) -> EntropyGrid:
     resolution = _check_resolution(resolution)
     n3 = np.linspace(*N3_RANGE, resolution)
     n8 = np.linspace(*N8_RANGE, resolution)
-    # The third weight depends on n8 alone, so no (3, R, R) stack is built;
-    # the sum is mixing_entropy's, in its order, so each entropy is its bit
-    # for bit.  It comes first, so its temporaries are gone before q1 and q2.
-    x0, x1, x2 = _weights(n3, n8[:, None])
-    entropy = -((_xlogx(x0) + _xlogx(x1)) + _xlogx(x2)) / _LN3 + 0.0
+    # The third weight depends on n8 alone, so no (3, R, R) stack is built.
+    # The entropy comes first, so its temporaries are gone before q1 and q2.
+    entropy = _entropy(*map(_xlogx, _weights(n3, n8[:, None])))
     # On the broadcast axes the cubes of n8 are taken R times, not R**2 times;
     # q1 and q2 each mix both axes, so they come out (R, R).
-    q1, q2 = diag_constraints((n3, n8[:, None]))
+    q1, q2 = _diag_constraints(n3, n8[:, None])
     in_region = _in_unit_interval(q1, tol) & _in_unit_interval(q2, tol)
     entropy[~in_region] = np.nan
     return EntropyGrid(n3=n3, n8=n8, q1=q1, q2=q2, in_region=in_region, entropy=entropy)
@@ -200,25 +197,24 @@ def entropy_grid(resolution: int, tol: float = DEFAULT_TOL) -> EntropyGrid:
 def _newton_refine(p0, p1, b0, b1, level, tol, max_iter=120) -> np.ndarray:
     """A point with |E - level| <= tol on each segment [p0, p1], one per column.
 
-    b0 >= 0 > b1 are E - level at the ends.  The weights x of diag_eigenvalues
+    b0 >= 0 > b1 are E - level at the ends.  The weights x = _weights(n3, n8)
     are affine along a segment and sum(dx) = 0, so dE/dt = -sum(dx log x)/ln 3.
     Each lane starts at the linear interpolant and takes Newton steps; a step
     that is not finite or leaves its bracket [ta, tb] is a bisection instead.
     """
-    dx = diag_eigenvalues(p1) - diag_eigenvalues(p0)
+    dx = np.subtract(_weights(*p1), _weights(*p0))
     held = dx == 0.0  # a weight held at zero along the segment adds nothing to dE/dt
     t = b0 / (b0 - b1)
     ta, tb = np.zeros_like(t), np.ones_like(t)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(1 + max_iter):
             point = (1.0 - t) * p0 + t * p1
-            x = diag_eigenvalues(point)
-            e = mixing_entropy(x) - level
+            x = np.array(_weights(*point))
+            e = _entropy(*_xlogx(x)) - level
             done = np.abs(e) <= tol
             if done.all():
                 return point
-            ta = np.where(e >= 0.0, t, ta)
-            tb = np.where(e < 0.0, t, tb)
+            ta, tb = np.where(e >= 0.0, t, ta), np.where(e < 0.0, t, tb)
             slope = np.where(held, 0.0, dx * np.log(x)).sum(axis=0)
             newton = t + e * _LN3 / slope
             newton = np.where((ta < newton) & (newton < tb), newton, 0.5 * (ta + tb))
@@ -257,8 +253,7 @@ def _lattice_entropy(resolution: int) -> np.ndarray:
     h = _xlogx(np.arange(n + 1) / n)  # the n + 1 weights k/n are all the lattice has
     # row i of the windows of (h[n], ..., h[0], NaN, ...) reads h[n - i - j], NaN past i + j = n
     h_rest = sliding_window_view(np.concatenate([h[::-1], np.full(n, np.nan)]), n + 1)
-    # mixing_entropy's sum, in its order: bit for bit the entropy of the weights
-    return -((h[:, None] + h) + h_rest) / _LN3 + 0.0
+    return _entropy(h[:, None], h, h_rest)
 
 
 def _lattice_points(flat, n: int) -> np.ndarray:
