@@ -96,29 +96,49 @@ def _self_star(n) -> np.ndarray:
 def _constraints(n, safe: bool):
     """(q1, q2) of a validated (..., 8) array; safe as _checked reports it.
 
-    Unless safe, n = s m with s the largest |component| of each vector beyond
-    _SAFE and 1.0 (exact) for the rest, so q1 = s^2 |m|^2 and
+    Unless safe, n = s m as _scaled gives it, so q1 = s^2 |m|^2 and
     q2 = s^2 (3 |m|^2 - 2 s m.(m star m)) overflow only in their last products.
     """
     if safe:  # np.vecdot gives np.dot's bits on every vector
         q1 = np.vecdot(n, n)
         return q1, 3.0 * q1 - 2.0 * np.vecdot(n, _self_star(n))
-    top = np.abs(n).max(axis=-1)
-    s = np.where(top <= _SAFE, 1.0, top)
-    m = n / s[..., None]
+    m, s = _scaled(n)
     q1 = np.vecdot(m, m)
     c = np.vecdot(m, _self_star(m))
     with np.errstate(over="ignore"):
         return s * s * q1, s * (s * (3.0 * q1 - 2.0 * (s * c)))
 
 
+def _scaled(n):
+    """(m, s) with n = s m: s is the largest |component| of each vector beyond
+    _SAFE, and 1.0 (exact) for the rest."""
+    top = np.abs(n).max(axis=-1)
+    s = np.where(top <= _SAFE, 1.0, top)
+    return n / s[..., None], s
+
+
+def _bilinear(product, a, b) -> np.ndarray:
+    """product(a, b) of two (..., 8) inputs, for a bilinear product with a trailing axis.
+
+    Unless both are safe (as _checked reports), the product is taken of the
+    _scaled vectors and multiplied by the two factors one at a time, the
+    smaller first: a component whose coefficients vanish reads 0, and the
+    rest overflow to +-inf only in those last products, with no warning.
+    """
+    (a, safe_a), (b, safe_b) = _checked(a), _checked(b)
+    if safe_a and safe_b:
+        return product(a, b)
+    (a, s), (b, t) = _scaled(a), _scaled(b)
+    with np.errstate(over="ignore"):
+        return product(a, b) * np.minimum(s, t)[..., None] * np.maximum(s, t)[..., None]
+
+
 def dot(a, b):
     """Euclidean inner product of two 8-vectors; stacks broadcast.
 
-    A sum whose products overflow reads +-inf or NaN, with no warning.
+    Past _SAFE it reads 0 where the exact value is 0, and +-inf where it overflows.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = np.vecdot(as_bloch_vector(a), as_bloch_vector(b))
+    d = _bilinear(lambda a, b: np.vecdot(a, b)[..., None], a, b)[..., 0]
     return float(d) if d.ndim == 0 else d
 
 
@@ -126,27 +146,29 @@ def wedge(a, b) -> np.ndarray:
     """Antisymmetric wedge product sqrt(3) f_jkl a_k b_l; stacks broadcast.
 
     Contracts f with the antisymmetrized outer product (f kills the symmetric
-    part anyway), so wedge(a, b) == -wedge(b, a) holds bitwise.  Inputs
-    whose products overflow give +-inf or NaN components, with no warning.
+    part anyway), so wedge(a, b) == -wedge(b, a) holds bitwise.  Past _SAFE,
+    components that vanish read 0 and the rest +-inf where they overflow.
     """
-    a = as_bloch_vector(a)
-    b = as_bloch_vector(b)
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def product(a, b):
         anti = 0.5 * (a[..., :, None] * b[..., None, :] - b[..., :, None] * a[..., None, :])
         return SQRT3 * np.einsum("jkl,...kl->...j", _F_DENSE, anti)
+
+    return _bilinear(product, a, b)
 
 
 def star(a, b) -> np.ndarray:
     """Symmetric star product sqrt(3) d_jkl a_k b_l; stacks broadcast.
 
     Contracts d with the symmetrized outer product, so star(a, b) ==
-    star(b, a) holds bitwise.  Inputs whose products overflow give +-inf or
-    NaN components, with no warning.
+    star(b, a) holds bitwise.  Past _SAFE, components that vanish read 0 and
+    the rest +-inf where they overflow.
     """
-    a = as_bloch_vector(a)
-    b = as_bloch_vector(b)
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def product(a, b):
         return _d_contract(0.5 * (a[..., :, None] * b[..., None, :] + b[..., :, None] * a[..., None, :]))
+
+    return _bilinear(product, a, b)
 
 
 def state_constraints(n):
@@ -184,8 +206,7 @@ def _require_tol(tol: float) -> None:
 
 
 def _in_unit_interval(q, tol: float):
-    """Elementwise -tol <= q <= 1 + tol: the slack every state gate allows."""
-    _require_tol(tol)
+    """Elementwise -tol <= q <= 1 + tol, for a checked tol: the slack every state gate allows."""
     return (q >= -tol) & (q <= 1.0 + tol)
 
 
@@ -214,8 +235,11 @@ def is_mixed_state(n, tol: float = DEFAULT_TOL):
     Covers every density matrix, pure states included; the name follows the
     mixed-state parametrization the constraints were derived from.
     """
-    q1, q2 = state_constraints(n)
-    return _in_unit_interval(q1, tol) & _in_unit_interval(q2, tol)
+    n, safe = _checked(n)
+    _require_tol(tol)
+    q1, q2 = _constraints(n, safe)
+    inside = _in_unit_interval(q1, tol) & _in_unit_interval(q2, tol)
+    return bool(inside) if n.ndim == 1 else inside
 
 
 def _require_state(n, tol: float) -> np.ndarray:
@@ -225,6 +249,7 @@ def _require_state(n, tol: float) -> np.ndarray:
     constraint it violates.
     """
     n, safe = _checked(n)
+    _require_tol(tol)
     q1, q2 = _constraints(n, safe)
     _require_all(
         [

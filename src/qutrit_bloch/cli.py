@@ -28,6 +28,8 @@ from .density import bloch_matrix, eigvals_hermitian_3x3, from_bloch, mixing_ent
 from .triangle import (
     N3_RANGE,
     N8_RANGE,
+    _check_level,
+    _check_resolution,
     _lattice_contour,
     _lattice_entropy,
     bloch_from_diag,
@@ -239,11 +241,11 @@ def _parse_levels(arg: str) -> list[float]:
 
 
 def cmd_contour(ns) -> int:
-    entropy = _lattice_entropy(ns.resolution)  # one lattice for every level
-    levels = [
-        {"level": level, "polylines": _lattice_contour(entropy, level, ns.tol)}
-        for level in _parse_levels(ns.levels)
-    ]
+    entropy = _lattice_entropy(_check_resolution(ns.resolution))  # one lattice for every level
+    levels = []
+    for level in _parse_levels(ns.levels):
+        _check_level(level, ns.tol)
+        levels.append({"level": level, "polylines": _lattice_contour(entropy, level, ns.tol)})
     return _emit(resolution=ns.resolution, levels=levels)
 
 

@@ -152,4 +152,4 @@ def _entropy(h0, h1, h2):
 
 def entropy_of_mixing(rho):
     """Entropy of mixing E(rho) = -sum_i x_i log3 x_i, in [0, 1]; stacks broadcast."""
-    return _entropy(*np.moveaxis(_xlogx(spectrum(rho)), -1, 0))
+    return _entropy(*_xlogx(spectrum(rho)).T).T  # .T twice keeps the leading axes in order

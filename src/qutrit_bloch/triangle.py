@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bloch import DEFAULT_TOL, ValidationError, _in_unit_interval, _require_all
+from .bloch import DEFAULT_TOL, ValidationError, _in_unit_interval, _require_all, _require_tol
 from .density import _LN3, _entropy, _xlogx
 from .gellmann import SQRT3
 
@@ -122,7 +122,9 @@ def _diag_constraints(n3, n8):
 
 def in_triangle(p, tol: float = DEFAULT_TOL) -> bool | np.ndarray:
     """True when both constraint polynomials lie in [-tol, 1 + tol]; one answer per point."""
-    q1, q2 = _diag_constraints(*_checked_point(p))
+    p = _checked_point(p)
+    _require_tol(tol)
+    q1, q2 = _diag_constraints(*p)
     inside = _in_unit_interval(q1, tol) & _in_unit_interval(q2, tol)
     return bool(inside) if np.ndim(inside) == 0 else inside
 
@@ -148,6 +150,7 @@ def _weights(n3, n8):
 def diag_entropy(p, tol: float = DEFAULT_TOL) -> float | np.ndarray:
     """Entropy of mixing at diagonal points inside the triangle; raises for the first outside."""
     p = _checked_point(p)
+    _require_tol(tol)
     outside = "point ({}, {}) is outside the state triangle"
     _require_all([(_in_unit_interval(q, tol), p, outside) for q in _diag_constraints(*p)])
     return _entropy(*map(_xlogx, _weights(*p)))
@@ -181,6 +184,7 @@ class EntropyGrid:
 def entropy_grid(resolution: int, tol: float = DEFAULT_TOL) -> EntropyGrid:
     """Evaluate constraints and entropy on a resolution x resolution grid."""
     resolution = _check_resolution(resolution)
+    _require_tol(tol)
     n3 = np.linspace(*N3_RANGE, resolution)
     n8 = np.linspace(*N8_RANGE, resolution)
     # The third weight depends on n8 alone, so no (3, R, R) stack is built.
@@ -239,17 +243,29 @@ def equi_entropy_contour(
     each cutting off one vertex and ending on two edges; above it, one loop
     around the origin.  A closed curve ends with its first point.
 
-    Raises ValidationError when no lattice cell brackets the level (the level
-    is not attained at this resolution).
+    Raises ValueError for a bad resolution, level or tol, checked in that
+    order before any entropy is computed, and ValidationError when no lattice
+    cell brackets the level (the level is not attained at this resolution).
     """
+    resolution = _check_resolution(resolution)
+    _check_level(level, tol)
     return _lattice_contour(_lattice_entropy(resolution), level, tol)
+
+
+def _check_level(level: float, tol: float) -> None:
+    """The checks of a contour level, then of its tol: raise ValueError unless
+    level is in (0, 1) and tol > 0."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"contour level must be in (0, 1), got {level}")
+    if not tol > 0:  # a convergence target, so 0 is rejected too (and NaN)
+        raise ValueError("tol must be positive")
 
 
 def _lattice_entropy(resolution: int) -> np.ndarray:
     """Entropy at the weights (i, j, n - i - j)/n, n = resolution - 1, as a
     (resolution, resolution) array indexed [i, j]; NaN where i + j > n, off
-    the lattice."""
-    n = _check_resolution(resolution) - 1
+    the lattice.  resolution is a checked one."""
+    n = resolution - 1
     h = _xlogx(np.arange(n + 1) / n)  # the n + 1 weights k/n are all the lattice has
     # row i of the windows of (h[n], ..., h[0], NaN, ...) reads h[n - i - j], NaN past i + j = n
     h_rest = sliding_window_view(np.concatenate([h[::-1], np.full(n, np.nan)]), n + 1)
@@ -260,7 +276,7 @@ def _lattice_points(flat, n: int) -> np.ndarray:
     """(n3, n8) of the lattice points at flat indices i (n + 1) + j, one per column.
 
     n8 = 1.5 (i + j)/n - 1 is written as |sqrt(3) n3| - 1 + 3 min(i, j)/n, and
-    as 0.5 where i + j = n, so that diag_eigenvalues gives an exact 0 weight on
+    as 0.5 where i + j = n, so that _weights gives an exact 0 weight on
     every edge of the triangle: where i or j is 0, 1 +/- sqrt(3) n3 + n8 then
     cancels in floating point.  The weight that vanishes along such an edge
     stays constant, which keeps the Newton slope of _newton_refine finite.
@@ -272,11 +288,8 @@ def _lattice_points(flat, n: int) -> np.ndarray:
 
 
 def _lattice_contour(entropy, level: float, tol: float) -> list[list[DiagPoint]]:
-    """equi_entropy_contour on the lattice entropy built by _lattice_entropy."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"contour level must be in (0, 1), got {level}")
-    if not tol > 0:  # a convergence target, so 0 is rejected too (and NaN)
-        raise ValueError("tol must be positive")
+    """equi_entropy_contour on the lattice entropy built by _lattice_entropy,
+    for a level and tol that passed _check_level."""
     n, size = len(entropy) - 1, entropy.size
     b = (entropy - level).ravel()
     above = b >= 0.0

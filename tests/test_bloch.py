@@ -362,6 +362,33 @@ class TestHugeComponents:
         assert same_bits(bloch.star(stack, stack)[0], bloch.star(N_R, N_R))
         assert same_bits(bloch.wedge(stack, stack[::-1])[0], bloch.wedge(N_R, n))
 
+    def test_vanishing_components_read_zero(self):
+        # star(e1, e1) = e8, wedge(e1, e2) = sqrt(3) e3 and (e1 + e2).(e1 - e2) = 0 exactly
+        n, m = 1e200 * basis_vec(1), 1e200 * basis_vec(2)
+        assert bloch.star(n, n).tolist() == [0.0] * 7 + [math.inf]
+        assert bloch.wedge(n, m).tolist() == [0.0, 0.0, math.inf] + [0.0] * 5
+        assert bloch.dot(n + m, n - m) == 0.0
+        # a huge and a tiny factor: the product is finite and keeps its digits
+        tiny = 1e-200 * basis_vec(1)
+        assert bloch.star(n, tiny) == pytest.approx(bloch.star(basis_vec(1), basis_vec(1)), rel=1e-15)
+        assert bloch.dot(n, tiny) == pytest.approx(1.0, rel=1e-15)
+
+    def test_past_the_bound_products_are_scaled_and_keep_their_symmetry(self):
+        rng = np.random.default_rng(61)
+        a = rng.normal(size=(40, 8)) * 1e150
+        b = rng.normal(size=(40, 8)) * 10.0 ** rng.uniform(-50.0, 140.0, size=(40, 1))
+        assert same_bits(bloch.star(a, b), bloch.star(b, a))
+        assert same_bits(bloch.wedge(a, b), -bloch.wedge(b, a))
+        assert same_bits(bloch.dot(a, b), bloch.dot(b, a))
+        scale = 1e150 * np.max(np.abs(b), axis=1)
+        unit = b / (scale[:, None] / 1e150)
+        for fn in (bloch.star, bloch.wedge, bloch.dot):
+            ref = fn(a / 1e150, unit)
+            ref = ref * (scale[:, None] if ref.ndim == 2 else scale)
+            got = fn(a, b)
+            assert np.isfinite(got).all()
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
     def test_other_rows_of_a_stack_keep_their_bits(self):
         stack = mixed_stack((6,))
         stack[3] = 1e200 * basis_vec(1)

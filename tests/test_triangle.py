@@ -207,6 +207,16 @@ class TestMembership:
             assert same_bits(xs[(slice(None), *idx)], triangle.diag_eigenvalues(point))
             assert same_bits(entropy[idx], triangle.diag_entropy(point))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+    def test_entropy_is_mixing_entropy_of_the_weights(self, dtype):
+        w = np.random.default_rng(67).dirichlet([1.0, 1.0, 1.0], size=300).T
+        p = (SQRT3 / 2 * (w[0] - w[1])).astype(dtype), ((w[0] + w[1]) / 2 - w[2]).astype(dtype)
+        p = tuple(c[triangle.in_triangle(p)] for c in p)
+        assert len(p[0]) > 200
+        assert same_bits(triangle.diag_entropy(p), density.mixing_entropy(triangle.diag_eigenvalues(p)))
+        for point in zip(*p):
+            assert same_bits(triangle.diag_entropy(point), density.mixing_entropy(triangle.diag_eigenvalues(point)))
+
     @given(in_box_point)
     @settings(deadline=None, max_examples=300)
     def test_three_way_equivalence(self, p):
