@@ -10,10 +10,10 @@ dot product and two bilinear products built from the structure tensors,
 in terms of which state membership is polynomial:
 
     pure state:   |n|^2 = 1  and  n star n = n
-    valid state:  0 <= |n|^2 <= 1  and  0 <= 3|n|^2 - 2 n.(n star n) <= 1
+    valid state:  q1 = |n|^2 <= 1  and  q2 = 3|n|^2 - 2 n.(n star n) <= 1
 
-Both predicates accept a tolerance; boundary states (pure states, edges of
-the diagonal triangle) classify as valid under the symmetric slack.
+The state body {q1 <= 1, q2 <= 1} is two upper bounds, decided by _bounds.  Both
+predicates accept a tolerance; boundary states (pure states, triangle edges) pass under it.
 
 Every function but geodesic_distance takes a (..., 8) stack as well as one
 vector and broadcasts over the leading axes; one (8,) vector gives the same
@@ -26,6 +26,7 @@ validated array.  n star n, the cubic term of every state gate, is
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -117,15 +118,15 @@ def _scaled(n):
     return n / s[..., None], s
 
 
-def _bilinear(product, a, b) -> np.ndarray:
-    """product(a, b) of two (..., 8) inputs, for a bilinear product with a trailing axis.
+def _bilinear(product, checked_a, checked_b) -> np.ndarray:
+    """product(a, b) of two (..., 8) inputs as _checked gives them, for a bilinear product with a trailing axis.
 
-    Unless both are safe (as _checked reports), the product is taken of the
-    _scaled vectors and multiplied by the two factors one at a time, the
-    smaller first: a component whose coefficients vanish reads 0, and the
-    rest overflow to +-inf only in those last products, with no warning.
+    Unless both are safe, the product is taken of the _scaled vectors and
+    multiplied by the two factors one at a time, the smaller first: a
+    component whose coefficients vanish reads 0, and the rest overflow to
+    +-inf only in those last products, with no warning.
     """
-    (a, safe_a), (b, safe_b) = _checked(a), _checked(b)
+    (a, safe_a), (b, safe_b) = checked_a, checked_b
     if safe_a and safe_b:
         return product(a, b)
     (a, s), (b, t) = _scaled(a), _scaled(b)
@@ -138,7 +139,7 @@ def dot(a, b):
 
     Past _SAFE it reads 0 where the exact value is 0, and +-inf where it overflows.
     """
-    d = _bilinear(lambda a, b: np.vecdot(a, b)[..., None], a, b)[..., 0]
+    d = _bilinear(partial(np.vecdot, keepdims=True), _checked(a), _checked(b))[..., 0]
     return float(d) if d.ndim == 0 else d
 
 
@@ -154,7 +155,7 @@ def wedge(a, b) -> np.ndarray:
         anti = 0.5 * (a[..., :, None] * b[..., None, :] - b[..., :, None] * a[..., None, :])
         return SQRT3 * np.einsum("jkl,...kl->...j", _F_DENSE, anti)
 
-    return _bilinear(product, a, b)
+    return _bilinear(product, _checked(a), _checked(b))
 
 
 def star(a, b) -> np.ndarray:
@@ -168,14 +169,14 @@ def star(a, b) -> np.ndarray:
     def product(a, b):
         return _d_contract(0.5 * (a[..., :, None] * b[..., None, :] + b[..., :, None] * a[..., None, :]))
 
-    return _bilinear(product, a, b)
+    return _bilinear(product, _checked(a), _checked(b))
 
 
 def state_constraints(n):
     """The two polynomial state functionals (q1, q2).
 
     q1 = |n|^2 and q2 = 3|n|^2 - 2 n.(n star n); n parametrizes a density
-    matrix exactly when both lie in [0, 1].  One vector gives two floats, a
+    matrix exactly when both are at most 1.  One vector gives two floats, a
     (..., 8) stack two arrays of shape (...).  A value too large for a double
     reads +-inf.
     """
@@ -186,9 +187,16 @@ def state_constraints(n):
 
 def is_pure(n, tol: float = DEFAULT_TOL):
     """True when |n|^2 = 1 and n star n = n, both within tol; stacks broadcast."""
-    _require_tol(tol)
     n, safe = _checked(n)
-    q1 = np.vecdot(n, n) if safe else _constraints(n, safe)[0]
+    _require_tol(tol)
+    pure = _pure(n, safe, tol)
+    return bool(pure) if n.ndim == 1 else pure
+
+
+def _pure(n, safe: bool, tol: float, q1=None):
+    """is_pure of a checked n and tol; q1, if given, is _constraints(n, safe)[0]."""
+    if q1 is None:  # |n|^2 alone: the cubic q2 is not needed
+        q1 = np.vecdot(n, n) if safe else _constraints(n, safe)[0]
     pure = abs(q1 - 1.0) <= tol
     if not _every(~pure):
         if not safe:
@@ -196,18 +204,25 @@ def is_pure(n, tol: float = DEFAULT_TOL):
             # its |n|^2 passes the test above only at a tol of 1e200 or more.
             n = np.where((np.abs(n) <= _SAFE).all(axis=-1)[..., None], n, 0.0)
         pure &= np.abs(_self_star(n) - n).max(axis=-1) <= tol
-    return bool(pure) if n.ndim == 1 else pure
+    return pure
 
 
 def _require_tol(tol: float) -> None:
-    """The tol rule of every state predicate: raise ValueError unless tol >= 0 (NaN too)."""
+    """The tol rule of every state predicate: raise ValueError unless tol >= 0 (NaN too).
+
+    No upper limit: from tol = 2.4397 on, the gates accept some q2 < -tol (see _bounds).
+    """
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
 
 
-def _in_unit_interval(q, tol: float):
-    """Elementwise -tol <= q <= 1 + tol, for a checked tol: the slack every state gate allows."""
-    return (q >= -tol) & (q <= 1.0 + tol)
+def _bounds(q1, q2, tol: float):
+    """The verdicts q1 <= 1 + tol and q2 <= 1 + tol, elementwise, for a checked tol; NaN fails.
+
+    The one test of the state body: c2 = (1 - q1)/3 >= 0 and c3 = (1 - q2)/27 >= 0 is
+    positivity.  q1 = |n|^2 >= 0, and below tol = 2.4397 the bounds keep q2 above -tol.
+    """
+    return q1 <= 1.0 + tol, q2 <= 1.0 + tol
 
 
 def _require_all(checks) -> None:
@@ -230,15 +245,13 @@ def _require_all(checks) -> None:
 
 
 def is_mixed_state(n, tol: float = DEFAULT_TOL):
-    """True when both state constraints lie in [-tol, 1 + tol]; stacks broadcast.
+    """True when q1 <= 1 + tol and q2 <= 1 + tol: the state body with slack tol; stacks broadcast.
 
     Covers every density matrix, pure states included; the name follows the
     mixed-state parametrization the constraints were derived from.
     """
-    n, safe = _checked(n)
-    _require_tol(tol)
-    q1, q2 = _constraints(n, safe)
-    inside = _in_unit_interval(q1, tol) & _in_unit_interval(q2, tol)
+    n, _, _, below = _report(n, tol)
+    inside = np.logical_and(*below)
     return bool(inside) if n.ndim == 1 else inside
 
 
@@ -248,16 +261,17 @@ def _require_state(n, tol: float) -> np.ndarray:
     Otherwise raise for the first failing vector in C order, naming the first
     constraint it violates.
     """
+    n, _, q, below = _report(n, tol)
+    _require_all(list(zip(below, q, _NOT_A_STATE)))
+    return n
+
+
+def _report(n, tol: float):
+    """The one pass of the state gates and CLI check: n checked, then tol; n, safe, (q1, q2), their _bounds."""
     n, safe = _checked(n)
     _require_tol(tol)
-    q1, q2 = _constraints(n, safe)
-    _require_all(
-        [
-            (_in_unit_interval(q1, tol), q1, _NOT_A_STATE[0]),
-            (_in_unit_interval(q2, tol), q2, _NOT_A_STATE[1]),
-        ]
-    )
-    return n
+    q = _constraints(n, safe)
+    return n, safe, q, _bounds(*q, tol)
 
 
 def geodesic_distance(n, m, tol: float = DEFAULT_TOL) -> float:
@@ -268,10 +282,13 @@ def geodesic_distance(n, m, tol: float = DEFAULT_TOL) -> float:
     the plain 8-vector angle; no projective-metric scale factor is applied.
     Takes two single vectors, not stacks.
     """
+    checked = []
     for name, v in (("first", n), ("second", m)):
         if np.shape(v) != (8,):
             raise ValidationError(f"geodesic_distance: {name} argument must have shape (8,), got {np.shape(v)}")
-        if not is_pure(v, tol):
+        checked.append(_checked(v))
+        _require_tol(tol)  # after each vector, as is_pure checks it
+        if not _pure(*checked[-1], tol):
             raise ValidationError(f"geodesic_distance: {name} argument is not a pure state")
-    c = dot(n, m)
+    c = float(_bilinear(partial(np.vecdot, keepdims=True), *checked)[0])  # dot(n, m) of the checked pairs
     return math.acos(min(1.0, max(-1.0, c)))

@@ -23,19 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .adjoint import orbit_sample
-from .bloch import DEFAULT_TOL, ValidationError, is_mixed_state, is_pure, state_constraints
-from .density import bloch_matrix, eigvals_hermitian_3x3, from_bloch, mixing_entropy, to_bloch
-from .triangle import (
-    N3_RANGE,
-    N8_RANGE,
-    _check_level,
-    _check_resolution,
-    _lattice_contour,
-    _lattice_entropy,
-    bloch_from_diag,
-    entropy_grid,
-    named_points,
-)
+from .bloch import DEFAULT_TOL, ValidationError, _pure, _report
+from .density import _bloch_matrix, _eigvalsh, from_bloch, mixing_entropy, to_bloch
+from .triangle import N3_RANGE, N8_RANGE, _contours, bloch_from_diag, entropy_grid, named_points
 
 SCHEMA_VERSION = "1"
 _SAMPLE_ROW = "[" + ",".join(["%.17g"] * 8) + "]"  # one orbit sample in JSON
@@ -170,16 +160,15 @@ def _matrix_arg(ns) -> np.ndarray:
 
 
 def cmd_check(ns) -> int:
-    n = _vector_arg(ns)
-    q1, q2 = state_constraints(n)
-    valid = is_mixed_state(n, ns.tol)
-    eigenvalues = eigvals_hermitian_3x3(bloch_matrix(n))
+    n, safe, (q1, q2), below = _report(_vector_arg(ns), ns.tol)
+    valid = bool(np.logical_and(*below))
+    eigenvalues = _eigvalsh(_bloch_matrix(n))
     _emit(
         bloch=n,
         q1=q1,
         q2=q2,
         is_state=valid,
-        is_pure=is_pure(n, ns.tol),
+        is_pure=bool(_pure(n, safe, ns.tol, q1)),
         eigenvalues=eigenvalues,
         entropy=mixing_entropy(eigenvalues) if valid else None,
     )
@@ -224,28 +213,21 @@ def cmd_triangle(ns) -> int:
     )
 
 
-def _parse_levels(arg: str) -> list[float]:
-    levels = []
-    for token in arg.split(","):
-        token = token.strip()
-        if not token:
-            continue
+def _parse_levels(arg: str):
+    """Yield the levels of --levels, lazily: _contours checks --resolution before it reads them."""
+    tokens = [token.strip() for token in arg.split(",") if token.strip()]
+    if not tokens:
+        raise UsageError("--levels names no contour level")
+    for token in tokens:
         try:
-            level = float(token)
+            yield float(token)
         except ValueError as exc:
             raise UsageError(f"cannot parse contour level {token!r}") from exc
-        levels.append(level)
-    if not levels:
-        raise UsageError("--levels names no contour level")
-    return levels
 
 
 def cmd_contour(ns) -> int:
-    entropy = _lattice_entropy(_check_resolution(ns.resolution))  # one lattice for every level
-    levels = []
-    for level in _parse_levels(ns.levels):
-        _check_level(level, ns.tol)
-        levels.append({"level": level, "polylines": _lattice_contour(entropy, level, ns.tol)})
+    contours = _contours(_parse_levels(ns.levels), ns.tol, ns.resolution)
+    levels = [{"level": level, "polylines": polylines} for level, polylines in contours]
     return _emit(resolution=ns.resolution, levels=levels)
 
 

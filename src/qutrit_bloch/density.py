@@ -5,10 +5,10 @@ map n_j = (sqrt(3)/2) Tr(rho lambda_j) is not an independent convention: it is
 forced by Tr(lambda_i lambda_j) = 2 delta_ij.
 
 Validity has one definition: a Hermitian unit-trace rho is a state when its
-vector has q1 = |n|^2 and q2 = 3|n|^2 - 2 n.(n star n) in [-tol, 1 + tol], so
-tol is an absolute slack on q1 and q2.  As c2 = (1 - q1)/3 and c3 = (1 - q2)/27
-are its characteristic-polynomial coefficients, q1, q2 <= 1 is c2, c3 >= 0,
-which is positivity; no gate solves an eigenproblem.
+vector lies in the state body {q1 <= 1, q2 <= 1}, q1 = |n|^2 and q2 = 3|n|^2 -
+2 n.(n star n), with tol an absolute slack on both.  As c2 = (1 - q1)/3 and
+c3 = (1 - q2)/27 are its characteristic-polynomial coefficients, the bounds are
+c2, c3 >= 0, which is positivity; no gate solves an eigenproblem.
 
 Eigenvalues of 3x3 Hermitian matrices come from LAPACK's symmetric solver
 (np.linalg.eigvalsh) on the Hermitian part, accurate to about 1e-15 even at a

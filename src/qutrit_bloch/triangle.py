@@ -5,11 +5,11 @@ fill an equilateral triangle with pure vertices
 
     R = (sqrt(3)/2, 1/2)   B = (-sqrt(3)/2, 1/2)   G = (0, -1)
 
-and the maximally mixed state at the origin.  The state constraints reduce to
-two polynomial inequalities,
+and the maximally mixed state at the origin.  The state body {q1 <= 1, q2 <= 1}
+reduces to two polynomial inequalities,
 
-    0 <= n3^2 + n8^2 <= 1
-    0 <= 2 n8^3 - 6 n3^2 n8 + 3 n3^2 + 3 n8^2 <= 1,
+    q1 = n3^2 + n8^2 <= 1
+    q2 = 2 n8^3 - 6 n3^2 n8 + 3 n3^2 + 3 n8^2 <= 1,
 
 whose joint solution set is exactly that triangle.  Edge midpoints (named
 M_RB, M_RG, M_BG after the vertices they join; each vertex label is used once)
@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bloch import DEFAULT_TOL, ValidationError, _in_unit_interval, _require_all, _require_tol
+from .bloch import DEFAULT_TOL, ValidationError, _bounds, _require_all, _require_tol
 from .density import _LN3, _entropy, _xlogx
 from .gellmann import SQRT3
 
@@ -108,7 +108,7 @@ def bloch_from_diag(p) -> np.ndarray:
 def diag_constraints(p):
     """The two reduced constraint polynomials (q1, q2) at a diagonal point.
 
-    p lies in the state triangle exactly when both values are in [0, 1].
+    p lies in the state triangle exactly when both values are at most 1.
     These are the restrictions of the full 8-vector state functionals.
     p = (n3, n8) may hold arrays of one shape; q1 and q2 then have it too.
     """
@@ -121,11 +121,10 @@ def _diag_constraints(n3, n8):
 
 
 def in_triangle(p, tol: float = DEFAULT_TOL) -> bool | np.ndarray:
-    """True when both constraint polynomials lie in [-tol, 1 + tol]; one answer per point."""
+    """True when q1 <= 1 + tol and q2 <= 1 + tol: the state body with slack tol; one answer per point."""
     p = _checked_point(p)
     _require_tol(tol)
-    q1, q2 = _diag_constraints(*p)
-    inside = _in_unit_interval(q1, tol) & _in_unit_interval(q2, tol)
+    inside = np.logical_and(*_bounds(*_diag_constraints(*p), tol))
     return bool(inside) if np.ndim(inside) == 0 else inside
 
 
@@ -152,7 +151,7 @@ def diag_entropy(p, tol: float = DEFAULT_TOL) -> float | np.ndarray:
     p = _checked_point(p)
     _require_tol(tol)
     outside = "point ({}, {}) is outside the state triangle"
-    _require_all([(_in_unit_interval(q, tol), p, outside) for q in _diag_constraints(*p)])
+    _require_all([(below, p, outside) for below in _bounds(*_diag_constraints(*p), tol)])
     return _entropy(*map(_xlogx, _weights(*p)))
 
 
@@ -193,7 +192,7 @@ def entropy_grid(resolution: int, tol: float = DEFAULT_TOL) -> EntropyGrid:
     # On the broadcast axes the cubes of n8 are taken R times, not R**2 times;
     # q1 and q2 each mix both axes, so they come out (R, R).
     q1, q2 = _diag_constraints(n3, n8[:, None])
-    in_region = _in_unit_interval(q1, tol) & _in_unit_interval(q2, tol)
+    in_region = np.logical_and(*_bounds(q1, q2, tol))
     entropy[~in_region] = np.nan
     return EntropyGrid(n3=n3, n8=n8, q1=q1, q2=q2, in_region=in_region, entropy=entropy)
 
@@ -247,18 +246,20 @@ def equi_entropy_contour(
     order before any entropy is computed, and ValidationError when no lattice
     cell brackets the level (the level is not attained at this resolution).
     """
+    return _contours([level], tol, resolution)[0][1]
+
+
+def _contours(levels, tol: float, resolution) -> list[tuple[float, list[list[DiagPoint]]]]:
+    """(level, equi_entropy_contour(level, tol, resolution)) per level: every check first, then one lattice."""
     resolution = _check_resolution(resolution)
-    _check_level(level, tol)
-    return _lattice_contour(_lattice_entropy(resolution), level, tol)
-
-
-def _check_level(level: float, tol: float) -> None:
-    """The checks of a contour level, then of its tol: raise ValueError unless
-    level is in (0, 1) and tol > 0."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"contour level must be in (0, 1), got {level}")
-    if not tol > 0:  # a convergence target, so 0 is rejected too (and NaN)
-        raise ValueError("tol must be positive")
+    levels = list(levels)
+    for level in levels:
+        if not 0.0 < level < 1.0:
+            raise ValueError(f"contour level must be in (0, 1), got {level}")
+        if not tol > 0:  # a convergence target, so 0 is rejected too (and NaN)
+            raise ValueError("tol must be positive")
+    entropy = _lattice_entropy(resolution)
+    return [(level, _lattice_contour(entropy, level, tol)) for level in levels]
 
 
 def _lattice_entropy(resolution: int) -> np.ndarray:
@@ -289,7 +290,7 @@ def _lattice_points(flat, n: int) -> np.ndarray:
 
 def _lattice_contour(entropy, level: float, tol: float) -> list[list[DiagPoint]]:
     """equi_entropy_contour on the lattice entropy built by _lattice_entropy,
-    for a level and tol that passed _check_level."""
+    for a level and tol that _contours checked."""
     n, size = len(entropy) - 1, entropy.size
     b = (entropy - level).ravel()
     above = b >= 0.0

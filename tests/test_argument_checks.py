@@ -1,6 +1,6 @@
 """Each public call checks each caller argument once, before computing from it.
 
-Counting wrappers on the one point check and the one matrix check count the
+Counting wrappers on the one vector, point and matrix checks count the
 checks a call makes; the kernels behind the gates, patched to fail, show that
 a bad argument is rejected before any of them runs.
 """
@@ -10,7 +10,7 @@ import collections
 import numpy as np
 import pytest
 
-from qutrit_bloch import bloch, density, triangle
+from qutrit_bloch import bloch, cli, density, triangle
 
 from conftest import sample_valid_bloch
 
@@ -28,6 +28,7 @@ def checks(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
 
+    count(bloch, "_checked")
     count(triangle, "_checked_point")
     count(density, "_checked_matrix")
     return counts
@@ -65,6 +66,21 @@ class TestCheckCounts:
         getattr(density, name)(np.stack([m, m]) if stack else m)
         assert checks["_checked_matrix"] == 1
 
+    @pytest.mark.parametrize("call", [bloch.is_mixed_state, bloch.is_pure, density.from_bloch])
+    def test_state_gates_check_the_vector_once(self, call, checks):
+        call(sample_valid_bloch(np.random.default_rng(59), 1)[0])
+        assert checks["_checked"] == 1
+
+    @pytest.mark.parametrize("vector, code", [("0.1 0 0 0 0 0 0 0.2", 0), ("0.9 0 0 0 0 0 0 0.9", 2)])
+    def test_cli_check_checks_its_vector_once(self, vector, code, checks, capsys):
+        assert cli.main(["check", *vector.split()]) == code
+        assert checks["_checked"] == 1
+
+    def test_geodesic_distance_checks_each_vector_once(self, checks):
+        r, b = (triangle.bloch_from_diag(triangle.VERTICES[k]) for k in "RB")
+        bloch.geodesic_distance(r, b)
+        assert checks["_checked"] == 2
+
 
 @pytest.fixture
 def kernels_fail(monkeypatch):
@@ -79,6 +95,8 @@ def kernels_fail(monkeypatch):
         (triangle, "_weights"),
         (triangle, "_diag_constraints"),
         (bloch, "_constraints"),
+        (bloch, "_bounds"),
+        (bloch, "_pure"),
     ]:
         monkeypatch.setattr(module, name, fail)
 
@@ -106,6 +124,7 @@ class TestFailFirst:
             case("diag_entropy-tol", "tol must be nonnegative", lambda: triangle.diag_entropy((0.1, 0.1), -1.0)),
             case("is_mixed_state-tol", "tol must be nonnegative", lambda: bloch.is_mixed_state(np.zeros(8), -1.0)),
             case("from_bloch-tol", "tol must be nonnegative", lambda: density.from_bloch(np.zeros(8), -1.0)),
+            case("is_pure-tol", "tol must be nonnegative", lambda: bloch.is_pure(np.zeros(8), -1.0)),
         ],
     )
     def test_bad_arguments_raise_before_any_kernel(self, call, message, kernels_fail):
@@ -119,6 +138,7 @@ class TestFailFirst:
             pytest.param(lambda: contour(0.5, 1e-9, 8), id="equi_entropy_contour"),
             pytest.param(lambda: triangle.diag_entropy((0.1, 0.1)), id="diag_entropy"),
             pytest.param(lambda: bloch.is_mixed_state(np.zeros(8)), id="is_mixed_state"),
+            pytest.param(lambda: bloch.is_pure(np.zeros(8)), id="is_pure"),
         ],
     )
     def test_good_arguments_reach_the_kernels(self, call, kernels_fail):
@@ -130,3 +150,5 @@ class TestFailFirst:
             triangle.diag_entropy((0.1, "x"), -1.0)
         with pytest.raises(bloch.ValidationError, match="8 components"):
             bloch.is_mixed_state(np.zeros(3), -1.0)
+        with pytest.raises(bloch.ValidationError, match="8 components"):
+            bloch.is_pure(np.zeros(3), -1.0)

@@ -248,6 +248,33 @@ class TestMixedState:
                 assert lo < -1e-9 or q1 > 1.0
 
 
+class TestTwoUpperBounds:
+    """The gates test only q1 <= 1 + tol and q2 <= 1 + tol: below tol = 2.4397
+    those two bounds keep q1 and q2 above -tol as well."""
+
+    # s V for a vertex V has the weights (a, a, 1 - 2a) with a = (1 - s)/3, a
+    # double root, where q2 is least for a given q1 = s^2: there q2 = 3 s^2 - 2 s^3.
+    directions = st.one_of(
+        st.sampled_from([N_R, N_B, N_G]),
+        vec8.filter(lambda v: np.vecdot(v, v) > 1e-6).map(lambda v: v / np.linalg.norm(v)),
+    )
+
+    @given(st.floats(0.0, 2.4), directions, st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    def test_the_upper_bounds_imply_the_lower_ones(self, tol, direction, fraction):
+        # fraction 1 puts q1 just inside 1 + tol, where the family's q2 is least
+        n = fraction * (1.0 - 1e-12) * math.sqrt(1.0 + tol) * direction
+        q1, q2 = bloch.state_constraints(n)
+        if bloch.is_mixed_state(n, tol):
+            assert q1 >= -tol and q2 >= -tol
+
+    @pytest.mark.parametrize("tol", [2.43, 2.45])
+    def test_the_double_root_family_drops_below_minus_tol_only_past_2_44(self, tol):
+        n = (1.0 - 1e-9) * math.sqrt(1.0 + tol) * N_G  # weights (a, a, 1 - 2a), a < 0
+        _, q2 = bloch.state_constraints(n)
+        assert bloch.is_mixed_state(n, tol)
+        assert (q2 < -tol) == (tol > 2.44)
+
+
 class TestGeodesicDistance:
     def test_orthogonal_vertices(self):
         assert abs(bloch.geodesic_distance(N_R, N_B) - 2 * math.pi / 3) <= 1e-12

@@ -296,7 +296,6 @@ class TestContour:
             calls.append(args)
             return lattice_entropy(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "_lattice_entropy", counting_lattice)
         monkeypatch.setattr(triangle, "_lattice_entropy", counting_lattice)
         argv = ["contour", "--levels", "0.3,0.6,0.9", "--resolution", str(resolution)]
         code, out, _ = run(capsys, argv)
@@ -333,6 +332,32 @@ class TestContour:
         assert code == 2
         assert "not bracketed" in err
 
+    @pytest.mark.parametrize(
+        "levels, tol",
+        [("1.5", "1e-9"), ("abc", "1e-9"), ("0.5", "0"), ("0.5,1.5", "1e-9"), ("0.5,abc", "1e-9")],
+        ids=["level", "unparseable", "tol", "second-level", "second-unparseable"],
+    )
+    def test_every_level_and_tol_is_checked_before_the_lattice(self, capsys, monkeypatch, levels, tol):
+        from qutrit_bloch import triangle
+
+        def fail(resolution):
+            raise AssertionError("the lattice entropy was built before the levels were checked")
+
+        monkeypatch.setattr(triangle, "_lattice_entropy", fail)
+        code, out, err = run(capsys, ["contour", "--levels", levels, "--tol", tol, "--resolution", "4000"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_an_out_of_range_level_is_reported_before_an_unbracketed_one(self, capsys):
+        code, _, err = run(capsys, ["contour", "--levels", "0.5,1.5", "--resolution", "2"])
+        assert code == 1
+        assert "1.5" in err
+
+    def test_resolution_is_checked_before_the_levels_are_parsed(self, capsys):
+        code, _, err = run(capsys, ["contour", "--levels", "abc", "--resolution", "1"])
+        assert code == 1
+        assert "resolution must be at least 2" in err
+
 
 class TestOrbit:
     def test_origin_orbit_is_all_zeros(self, capsys):
@@ -365,6 +390,13 @@ class TestOrbit:
     def test_invalid_state_exits_2(self, capsys):
         code, _, _ = run(capsys, ["orbit", "0", "0", "0", "0", "0", "0", "0", "2", "--count", "1"])
         assert code == 2
+
+    def test_explicit_seed_0_is_the_default(self, capsys):
+        # argparse does not pass the default through the option's type check
+        argv = ["orbit", *VERTEX_R, "--count", "2"]
+        code, out, _ = run(capsys, [*argv, "--seed", "0"])
+        assert code == 0
+        assert out == run(capsys, argv)[1]
 
     def test_negative_seed_message_names_the_option(self, capsys):
         code, _, err = run(capsys, ["orbit", *ORIGIN, "--seed", "-1"])
@@ -686,7 +718,6 @@ class TestEntropyLandscapeScript:
             calls.append(args)
             return lattice_entropy(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "_lattice_entropy", counting_lattice)
         monkeypatch.setattr(triangle, "_lattice_entropy", counting_lattice)
         runpy.run_path(str(ROOT / "scripts" / "entropy_landscape.py"), run_name="__main__")
         assert calls == [(32,)]  # one lattice per run, not one per level

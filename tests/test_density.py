@@ -79,6 +79,18 @@ class TestToBloch:
         with pytest.raises(ValidationError, match="Hermitian"):
             density.to_bloch(m)
 
+    def test_deviations_exactly_at_the_bounds_are_accepted(self):
+        # |rho - rho^dag| and |Tr rho - 1| both read exactly 1e-12, the two bounds
+        rho = np.diag([0.5 + 5e-13j, 0.25 + 5e-13j, 0.25])
+        np.testing.assert_array_equal(density.to_bloch(rho), density.to_bloch(rho.real))
+        # a real 1e-12 at (0, 1) alone puts the Hermiticity deviation on its bound
+        rho = np.diag([0.5, 0.25, 0.25]).astype(complex)
+        rho[0, 1] = 1e-12
+        density.to_bloch(rho)
+        rho[0, 1] = np.nextafter(1e-12, 1.0)
+        with pytest.raises(ValidationError, match="Hermitian"):
+            density.to_bloch(rho)
+
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValidationError, match="race"):
             density.to_bloch(np.eye(3))
