@@ -40,6 +40,7 @@ def cases() -> list[tuple[str, list[str], str | None]]:
     near = bloch_from_diag(VERTICES["R"]) * (1.0 + 1e-10)
     out.append(("check-near-boundary", ["check", *map(repr, near.tolist())], None))
     out.append(("check-stdin", ["check", "--stdin"], json.dumps([float(v) for v in MIXED])))
+    out.append(("check-deep-json", ["check", "--stdin"], "[" * 3000))  # exits 1 with an empty document
     for resolution in (2, 7, 64):
         for fmt in ("csv", "json"):
             argv = ["triangle", "--resolution", str(resolution), "--format", fmt]

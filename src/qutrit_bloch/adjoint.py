@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bloch import DEFAULT_TOL, ValidationError, _checked_matrix, _require_all, _require_state
+from .bloch import DEFAULT_TOL, ValidationError, _checked_matrix, _require_all, _require_size, _require_state
 from .gellmann import _LAMBDA, _dot_lambda, _project
 
 UNITARY_TOL = 1e-12
@@ -40,15 +40,17 @@ _PAULI = np.array(
 _PAULI.flags.writeable = False
 
 
-def _validate_special_unitary(u, dim: int, tol: float = UNITARY_TOL) -> np.ndarray:
-    """Check a dim x dim special unitary, or a (..., dim, dim) stack of them."""
+def _validate_special_unitary(u, dim: int) -> np.ndarray:
+    """Check a dim x dim special unitary, or a (..., dim, dim) stack of them, to UNITARY_TOL."""
     u = _checked_matrix(u, dim)
-    dev = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(dim)).max(axis=(-2, -1))
-    det = np.linalg.det(u)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the bound, without a warning
+        dev = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(dim)).max(axis=(-2, -1))
+        det = np.linalg.det(u)
+    dev = np.fmin(dev, np.inf)  # u is finite, so a NaN is an overflow: fmin reads it as inf
     _require_all(
         [
-            (dev <= tol, dev, "not unitary: max |U^dag U - I| = {:.3e}"),
-            (np.abs(det - 1.0) <= tol, det, "not special unitary: det = {:.17g}"),
+            (dev <= UNITARY_TOL, dev, "not unitary: max |U^dag U - I| = {:.3e}"),
+            (np.abs(det - 1.0) <= UNITARY_TOL, det, "not special unitary: det = {:.17g}"),
         ]
     )
     return u
@@ -108,8 +110,7 @@ def orbit_sample(n, count: int, seed: int, tol: float = DEFAULT_TOL) -> np.ndarr
     n = _require_state(n, tol)
     if n.shape != (8,):
         raise ValidationError(f"orbit_sample takes one Bloch vector, got shape {n.shape}")
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    count = _require_size(count, "count", 1)
     # The identity part of rho commutes with U, so only n.lambda is rotated.
     traceless = _dot_lambda(n)
     rng = np.random.default_rng(seed)

@@ -26,6 +26,7 @@ validated array.  n star n, the cubic term of every state gate, is
 from __future__ import annotations
 
 import math
+import operator
 from functools import partial
 
 import numpy as np
@@ -214,6 +215,17 @@ def _require_tol(tol: float) -> None:
     """
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
+
+
+def _require_size(value, name: str, minimum: int) -> int:
+    """value as an int of at least minimum: the one check of every size argument (resolution, count)."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
+    return value
 
 
 def _bounds(q1, q2, tol: float):

@@ -5,9 +5,9 @@ documents all carry schema_version "1" and serialize floats with 17
 significant digits (round-trip exact for doubles); complex matrices are
 row-major lists of [re, im] pairs.  Output depends only on argv and stdin.
 
-Exit codes: 0 success, 1 usage or parse error, 2 domain/validity error.  The
-CLI checks the input's source, JSON shape and finiteness, the |n|^4 guard and
-option types; the library's range checks exit 1 and its state checks exit 2.
+Exit codes: 0 success, 1 usage, parse or range error, 2 domain/validity error,
+each error with one stderr line.  The CLI checks the input's source, its JSON
+(at any depth), shape and finiteness, the |n|^4 guard and option types.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .adjoint import orbit_sample
+from .adjoint import _ORBIT_CHUNK, orbit_sample
 from .bloch import DEFAULT_TOL, ValidationError, _pure, _report
 from .density import _bloch_matrix, _eigvalsh, from_bloch, mixing_entropy, to_bloch
 from .triangle import N3_RANGE, N8_RANGE, _contours, bloch_from_diag, entropy_grid, named_points
 
 SCHEMA_VERSION = "1"
 _SAMPLE_ROW = "[" + ",".join(["%.17g"] * 8) + "]"  # one orbit sample in JSON
-_SAMPLE_BLOCK = 1024  # orbit samples per write
 
 
 class UsageError(Exception):
@@ -79,25 +78,21 @@ def _emit(**fields) -> int:
     array items, is written as one array, a chunk per write, so a long
     document is never held whole; every other field goes through _to_json.
     """
-    sys.stdout.writelines(_document({"schema_version": SCHEMA_VERSION, **fields}))
-    return 0
-
-
-def _document(fields):
-    """The JSON text of fields and its newline, in the order it is written."""
+    write = sys.stdout.write
     text = "{"
-    for k, (key, value) in enumerate(fields.items()):
+    for k, (key, value) in enumerate({"schema_version": SCHEMA_VERSION, **fields}.items()):
         text += ("," if k else "") + json.dumps(key) + ":"
         if isinstance(value, Iterator):
-            yield text + "["
+            write(text + "[")
             for c, chunk in enumerate(value):
                 if c:
-                    yield ","
-                yield chunk
+                    write(",")
+                write(chunk)
             text = "]"
         else:
             text += _to_json(value)
-    yield text + "}\n"
+    write(text + "}\n")
+    return 0
 
 
 def _read_input(ns, what: str, ways: str, positional: bool):
@@ -116,26 +111,22 @@ def _read_input(ns, what: str, ways: str, positional: bool):
             raise UsageError(f"cannot read --input file: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # malformed, an int past the digit limit, or nested too deep
         raise UsageError(f"invalid JSON input: {exc}") from exc
-    except ValueError:  # an integer literal beyond Python's int-string digit limit
-        raise UsageError("invalid JSON input: an integer has too many digits") from None
 
 
 def _as_number_list(payload, count: int, what: str) -> list[float]:
     if not isinstance(payload, list) or len(payload) != count:
         raise UsageError(f"{what} must be a JSON array of {count} numbers")
-    values = []
-    for v in payload:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise UsageError(f"{what} must contain only numbers")
-        try:
-            values.append(float(v))
-        except OverflowError:  # a JSON integer beyond the double range
-            raise UsageError(f"{what} components must be finite") from None
-    if not all(math.isfinite(v) for v in values):
-        raise UsageError(f"{what} components must be finite")
-    return values
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in payload):
+        raise UsageError(f"{what} must contain only numbers")
+    try:
+        values = [float(v) for v in payload]
+        if all(map(math.isfinite, values)):
+            return values
+    except OverflowError:  # a JSON integer beyond the double range
+        pass
+    raise UsageError(f"{what} components must be finite")
 
 
 def _vector_arg(ns) -> np.ndarray:
@@ -234,9 +225,9 @@ def cmd_contour(ns) -> int:
 def cmd_orbit(ns) -> int:
     n = _vector_arg(ns)
     samples = orbit_sample(n, ns.count, ns.seed, ns.tol)
-    blocks = (
-        ",".join(_SAMPLE_ROW % tuple(r) for r in samples[k : k + _SAMPLE_BLOCK].tolist())
-        for k in range(0, len(samples), _SAMPLE_BLOCK)
+    blocks = (  # a write per block that orbit_sample draws
+        ",".join(_SAMPLE_ROW % tuple(r) for r in samples[k : k + _ORBIT_CHUNK].tolist())
+        for k in range(0, len(samples), _ORBIT_CHUNK)
     )
     return _emit(seed=ns.seed, count=ns.count, bloch=n, samples=blocks)
 
@@ -325,12 +316,9 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         return ns.func(ns)
-    except ValidationError as exc:
+    except (UsageError, ValueError) as exc:  # ValueError: a library check, and its ValidationError exits 2
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, ValueError) as exc:  # ValueError: a library argument check
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValidationError) else 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code) if exc.code else 0
 

@@ -38,17 +38,25 @@ _LN3 = math.log(3.0)
 
 
 def _bloch_matrix(n) -> np.ndarray:
-    """(1/3)(I + sqrt(3) n.lambda) of a validated (..., 8) array."""
-    return (_EYE3 + SQRT3 * _dot_lambda(n)) / 3.0
+    """(1/3)(I + sqrt(3) n.lambda) of a validated (..., 8) array, in real arithmetic: the bits of the
+    complex expression (whose / 3 multiplies by 1/3), but an overflow reads +-inf, not NaN."""
+    rho = _dot_lambda(n)
+    parts = rho.view(float)
+    parts *= SQRT3
+    rho.real += _EYE3
+    parts *= 1 / 3
+    return rho
 
 
 def bloch_matrix(n) -> np.ndarray:
     """Evaluate (1/3)(I + sqrt(3) n.lambda) with no state-validity check.
 
     Always Hermitian with unit trace; positive semidefinite only when n
-    satisfies the state constraints.  A (..., 8) stack gives (..., 3, 3).
+    satisfies the state constraints.  A (..., 8) stack gives (..., 3, 3), and
+    an entry too large for a double reads +-inf, with no warning.
     """
-    return _bloch_matrix(as_bloch_vector(n))
+    with np.errstate(over="ignore"):
+        return _bloch_matrix(as_bloch_vector(n))
 
 
 def from_bloch(n, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -75,8 +83,9 @@ def to_bloch(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
 def _checked_density(rho, tol: float = DEFAULT_TOL):
     """The one gate of every density matrix, to_bloch's: the checked complex rho and its vector."""
     rho = _checked_matrix(rho, 3)
-    herm_dev = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    trace_dev = abs(rho.trace(axis1=-2, axis2=-1) - 1.0)
+    with np.errstate(over="ignore"):  # finite entries: an overflowing deviation reads inf and fails
+        herm_dev = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        trace_dev = abs(rho.trace(axis1=-2, axis2=-1) - 1.0)
     _require_all(
         [
             (herm_dev <= HERMITICITY_TOL, herm_dev, "not Hermitian: max |rho - rho^dag| = {:.3e}"),
@@ -96,8 +105,9 @@ def eigvals_hermitian_3x3(mat) -> np.ndarray:
 
 
 def _eigvalsh(a) -> np.ndarray:
-    """Descending eigenvalues of the Hermitian part of a checked (..., 3, 3) complex array."""
-    return np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2)))[..., ::-1]
+    """Descending eigenvalues of the Hermitian part of a checked (..., 3, 3) complex array,
+    taken as 0.5 a + 0.5 a^dag, which cannot overflow."""
+    return np.linalg.eigvalsh(0.5 * a + 0.5 * a.conj().swapaxes(-1, -2))[..., ::-1]
 
 
 def validate_density(rho) -> np.ndarray:

@@ -27,14 +27,13 @@ point meets the requested |E - level| tolerance.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bloch import DEFAULT_TOL, ValidationError, _bounds, _require_all, _require_tol
+from .bloch import DEFAULT_TOL, ValidationError, _bounds, _require_all, _require_size, _require_tol
 from .density import _LN3, _entropy, _xlogx
 from .gellmann import SQRT3
 
@@ -81,17 +80,6 @@ def _checked_point(p):
     if not all(isinstance(c, _REAL) and np.asarray(c).dtype.kind in "iuf" for c in (n3, n8)):
         raise ValidationError("a point must be a pair (n3, n8) of real numbers or real arrays")
     return n3, n8
-
-
-def _check_resolution(resolution) -> int:
-    """resolution as an int of at least 2: the one check of every grid and lattice size."""
-    try:
-        resolution = operator.index(resolution)
-    except TypeError:
-        raise ValueError(f"resolution must be an integer, got {resolution!r}") from None
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    return resolution
 
 
 def bloch_from_diag(p) -> np.ndarray:
@@ -182,7 +170,7 @@ class EntropyGrid:
 
 def entropy_grid(resolution: int, tol: float = DEFAULT_TOL) -> EntropyGrid:
     """Evaluate constraints and entropy on a resolution x resolution grid."""
-    resolution = _check_resolution(resolution)
+    resolution = _require_size(resolution, "resolution", 2)
     _require_tol(tol)
     n3 = np.linspace(*N3_RANGE, resolution)
     n8 = np.linspace(*N8_RANGE, resolution)
@@ -251,7 +239,7 @@ def equi_entropy_contour(
 
 def _contours(levels, tol: float, resolution) -> list[tuple[float, list[list[DiagPoint]]]]:
     """(level, equi_entropy_contour(level, tol, resolution)) per level: every check first, then one lattice."""
-    resolution = _check_resolution(resolution)
+    resolution = _require_size(resolution, "resolution", 2)
     levels = list(levels)
     for level in levels:
         if not 0.0 < level < 1.0:

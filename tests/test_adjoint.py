@@ -122,6 +122,17 @@ class TestAdjointSU3:
             with pytest.raises(ValidationError, match="matrix entries must be finite"):
                 ad(u)
 
+    @pytest.mark.parametrize("ad", [adjoint.adjoint_su3, adjoint.adjoint_su2], ids=["su3", "su2"])
+    @pytest.mark.parametrize("re, im", [(1, 0), (1, 1), (0, -1)], ids=["real", "diagonal-phase", "imaginary"])
+    def test_overflowing_matrix_fails_unitarity_with_inf(self, ad, re, im):
+        # U^dag U overflows, and in part to NaN; the deviation reads inf, with no warning.
+        dim = 3 if ad is adjoint.adjoint_su3 else 2
+        signs = np.random.default_rng(dim).choice([-1e308, 1e308], (dim, dim))
+        u = np.empty((dim, dim), dtype=complex)
+        u.real, u.imag = re * signs, im * signs
+        with pytest.raises(ValidationError, match=r"^not unitary: max \|U\^dag U - I\| = inf$"):
+            ad(u)
+
     @pytest.mark.parametrize(
         "bad",
         [np.ones((3, 3)), adjoint.haar_random_su3(1) * np.exp(1j * 0.3)],
@@ -323,5 +334,14 @@ class TestOrbitSample:
             adjoint.orbit_sample(np.stack([N_R, N_R]), 5, seed=0)
 
     def test_rejects_non_positive_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^count must be at least 1$"):
             adjoint.orbit_sample(N_R, 0, seed=0)
+
+    @pytest.mark.parametrize("count, shown", [(2.5, "2.5"), (1.0, "1.0"), ("3", "'3'"), (None, "None")])
+    def test_rejects_a_count_that_is_not_an_integer(self, count, shown):
+        with pytest.raises(ValueError, match=f"^count must be an integer, got {shown}$"):
+            adjoint.orbit_sample(N_R, count, seed=0)
+
+    def test_takes_any_integer_count(self):
+        expected = adjoint.orbit_sample(N_R, 3, seed=4)
+        assert adjoint.orbit_sample(N_R, np.int64(3), seed=4).tobytes() == expected.tobytes()

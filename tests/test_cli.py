@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qutrit_bloch.adjoint import _ORBIT_CHUNK
-from qutrit_bloch.cli import _SAMPLE_BLOCK, main
+from qutrit_bloch.cli import main
 from qutrit_bloch.gellmann import SQRT3
 
 from conftest import bloch_from_rho_oracle
@@ -22,6 +22,7 @@ CASES = {c["name"]: c for c in json.loads((CORPUS / "cases.json").read_text())}
 ORIGIN = ["0", "0", "0", "0", "0", "0", "0", "0"]
 VERTEX_R = ["0", "0", repr(SQRT3 / 2), "0", "0", "0", "0", "0.5"]
 HUGE_INT = 10**400  # a JSON integer that no double holds
+DEEP_JSON = "[" * 3000  # nested deeper than the JSON decoder recurses
 
 
 def run(capsys, argv):
@@ -168,6 +169,14 @@ class TestConvert:
         code, _, err = run(capsys, ["convert", "rho-to-bloch", "--stdin"])
         assert code == 2
         assert "Hermitian" in err
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_non_hermitian_matrix_exits_2_without_a_warning(self, capsys, monkeypatch, sign):
+        # rho - rho^dag overflows; the deviation reads inf and fails its bound.
+        pairs = [[sign * 1e308, 0.0], [sign * 1e308, 0.0]] + [[0.0, 0.0], [-sign * 1e308, 0.0]] + [[0.0, 0.0]] * 5
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(pairs)))
+        code, out, err = run(capsys, ["convert", "rho-to-bloch", "--stdin"])
+        assert (code, out, err) == (2, "", "error: not Hermitian: max |rho - rho^dag| = inf\n")
 
     def test_rho_to_bloch_honours_tol_like_bloch_to_rho(self, capsys, monkeypatch):
         # Smallest eigenvalue -1e-8: q2 exceeds 1 by about 6.75e-8, outside
@@ -575,7 +584,7 @@ class TestStreaming:
             ("triangle-json-7", "rows", 7),
             ("triangle-csv-64", None, 64),
             ("triangle-json-64", "rows", 64),
-            ("orbit-64", "samples", _SAMPLE_BLOCK),
+            ("orbit-64", "samples", _ORBIT_CHUNK),
         ],
     )
     def test_corpus_documents_in_row_sized_writes(self, monkeypatch, name, key, per_write):
@@ -589,14 +598,14 @@ class TestStreaming:
         assert len(writes) >= len(items) / per_write
 
     def test_orbit_writes_one_sample_block_at_a_time(self, monkeypatch):
-        count = 2 * _SAMPLE_BLOCK + 1
+        count = 2 * _ORBIT_CHUNK + 1
         argv = ["orbit", *ORIGIN[:-1], "0.25", "--count", str(count), "--seed", "5"]
         code, writes = run_recorded(monkeypatch, argv)
         assert code == 0
         _, items = envelope_and_items("".join(writes), "samples")
         assert len(items) == count
         blocks = [w for w in writes if w.startswith("[") and w.endswith("]")]
-        assert [w.count("],[") + 1 for w in blocks] == [_SAMPLE_BLOCK, _SAMPLE_BLOCK, 1]
+        assert [w.count("],[") + 1 for w in blocks] == [_ORBIT_CHUNK, _ORBIT_CHUNK, 1]
 
     @pytest.mark.parametrize(
         "argv, exit_code",
@@ -637,6 +646,10 @@ class TestArgumentErrors:
             (["convert", "rho-to-bloch", "--stdin"], "[1, 2, 3]"),
             (["convert", "rho-to-bloch", "--stdin"], "[[1, 0], [0, 0], 5]"),
             (["convert", "rho-to-bloch", "--stdin"], "[[1, 2, 3], [4, 5, 6], [7, 8, 9]]"),
+            (["check", "--stdin"], DEEP_JSON),
+            (["convert", "bloch-to-rho", "--stdin"], DEEP_JSON),
+            (["convert", "rho-to-bloch", "--stdin"], DEEP_JSON),
+            (["orbit", "--stdin"], DEEP_JSON),
         ],
         ids=[
             "orbit-negative-seed",
@@ -657,6 +670,10 @@ class TestArgumentErrors:
             "matrix-of-3-numbers",
             "matrix-rows-and-a-number",
             "matrix-of-3-number-rows",
+            "check-deep-json",
+            "bloch-to-rho-deep-json",
+            "rho-to-bloch-deep-json",
+            "orbit-deep-json",
         ],
     )
     def test_exits_1_with_one_line_message(self, capsys, monkeypatch, argv, stdin):
@@ -690,6 +707,16 @@ class TestArgumentErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error: invalid JSON input") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command", [["check"], ["convert", "bloch-to-rho"], ["convert", "rho-to-bloch"], ["orbit"]], ids=" ".join
+    )
+    def test_json_file_nested_too_deep_exits_1(self, capsys, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON)
+        code, out, err = run(capsys, [*command, "--input", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid JSON input: ") and err.count("\n") == 1
 
     def test_closed_pipe_leaves_no_traceback(self):
         path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])

@@ -12,7 +12,7 @@ from qutrit_bloch import bloch, density
 from qutrit_bloch.adjoint import haar_random_su3
 from qutrit_bloch.bloch import ValidationError, is_mixed_state, state_constraints
 from qutrit_bloch.cli import main
-from qutrit_bloch.gellmann import SQRT3
+from qutrit_bloch.gellmann import SQRT3, basis
 from qutrit_bloch.triangle import VERTICES, bloch_from_diag
 
 from conftest import (
@@ -205,6 +205,64 @@ class TestEigenvalues:
         for mat in (np.eye(4), np.full((3, 3), np.nan)):
             with pytest.raises(ValidationError):
                 density.eigvals_hermitian_3x3(mat)
+
+
+class TestOverflowingEntries:
+    """Entries of +-1e308, or vector components past _SAFE, fail a bound or read
+    +-inf; the suite turns any RuntimeWarning into an error."""
+
+    # Neither Hermitian (rho - rho^dag overflows) nor of finite trace.
+    NON_HERMITIAN = 1e308 * np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (NON_HERMITIAN, r"not Hermitian: max \|rho - rho\^dag\| = inf"),
+            (-NON_HERMITIAN, r"not Hermitian: max \|rho - rho\^dag\| = inf"),
+            (np.full((3, 3), 1e308), r"trace must be 1: \|Tr rho - 1\| = inf"),
+            (np.full((3, 3), -1e308), r"trace must be 1: \|Tr rho - 1\| = inf"),
+        ],
+        ids=["non-hermitian", "non-hermitian-negated", "trace", "trace-negated"],
+    )
+    @pytest.mark.parametrize(
+        "fn",
+        [density.to_bloch, density.validate_density, density.spectrum, density.char_poly_coeffs,
+         density.entropy_of_mixing],
+    )
+    def test_density_gates_read_inf_and_fail(self, fn, rho, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            fn(rho)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_eigenvalues_take_the_hermitian_part_without_overflow(self, sign):
+        # Its Hermitian part is diag(1, 1, -1) * 1e308, though a + a^dag overflows.
+        got = density.eigvals_hermitian_3x3(sign * self.NON_HERMITIAN)
+        np.testing.assert_array_equal(got, [1e308, 1e308, -1e308] if sign > 0 else [1e308, -1e308, -1e308])
+
+    def test_eigenvalues_keep_the_bits_of_the_hermitian_mean(self):
+        rng = np.random.default_rng(97)
+        m = (rng.standard_normal((2000, 3, 3)) + 1j * rng.standard_normal((2000, 3, 3)))
+        m *= 10.0 ** rng.uniform(-300, 300, (2000, 1, 1))
+        expected = np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))[..., ::-1]
+        assert same_bits(density.eigvals_hermitian_3x3(m), expected)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_bloch_matrix_overflow_reads_inf(self, sign):
+        rho = density.bloch_matrix(np.full(8, sign * 1e308))
+        assert not np.isnan(rho.view(float)).any()
+        assert (rho[0, 0], rho[2, 2]) == (sign * np.inf, -sign * np.inf)
+        assert np.isfinite(rho[1, 1]) and np.isfinite(rho[0, 1])
+
+    def test_bloch_matrix_keeps_the_bits_of_the_complex_expression(self):
+        # One vector, a stack, and exact and signed zeros, at every scale below overflow.
+        rng = np.random.default_rng(101)
+        n = rng.standard_normal((2000, 8)) * 10.0 ** rng.uniform(-300, 300, (2000, 1))
+        n[rng.random((2000, 8)) < 0.3] = 0.0
+        n[rng.random((2000, 8)) < 0.1] = -0.0
+        n[:100] = rng.integers(-2, 3, (100, 8)) * 0.5
+        expected = (np.eye(3) + SQRT3 * np.einsum("...i,iab->...ab", n, basis())) / 3.0
+        assert same_bits(density.bloch_matrix(n), expected)
+        assert all(same_bits(density.bloch_matrix(v), e) for v, e in zip(n[:200], expected))
 
 
 class TestCharPoly:
