@@ -25,7 +25,7 @@ import numpy as np
 from .adjoint import _ORBIT_CHUNK, orbit_sample
 from .bloch import DEFAULT_TOL, ValidationError, _pure, _report
 from .density import _bloch_matrix, _eigvalsh, from_bloch, mixing_entropy, to_bloch
-from .triangle import N3_RANGE, N8_RANGE, _contours, bloch_from_diag, entropy_grid, named_points
+from .triangle import N3_RANGE, N8_RANGE, _contours, _mirror_columns, bloch_from_diag, entropy_grid, named_points
 
 SCHEMA_VERSION = "1"
 _SAMPLE_ROW = "[" + ",".join(["%.17g"] * 8) + "]"  # one orbit sample in JSON
@@ -172,29 +172,28 @@ def cmd_convert(ns) -> int:
     return _emit(bloch=to_bloch(_matrix_arg(ns), ns.tol))
 
 
-def _grid_rows(grid, inside: str, outside: str):
-    """Yield the lines of each grid row as one list, n8-major.  Both
-    %-templates take the n3 and n8 strings and the floats q1, q2; `inside`,
-    the template for points in the region, also takes the entropy."""
-    n3s = [_fmt(v) for v in grid.n3.tolist()]
-    rows = zip(grid.n8.tolist(), grid.q1, grid.q2, grid.in_region, grid.entropy)
-    for v8, q1s, q2s, flags, entropies in rows:
-        n8 = _fmt(v8)
-        points = zip(n3s, q1s.tolist(), q2s.tolist(), flags.tolist(), entropies.tolist())
-        yield [
-            inside % (n3, n8, q1, q2, entropy) if flag else outside % (n3, n8, q1, q2)
-            for n3, q1, q2, flag, entropy in points
-        ]
+def _grid_rows(grid, start: str, inside: str, outside: str):
+    """Yield the lines of each grid row as one list, n8-major: start, the n3 and n8 strings and a tail, the
+    %-template `inside` of (q1, q2, entropy) or `outside` of (q1, q2), formatted once per mirror pair of columns."""
+    half, left = _mirror_columns(len(grid.n3))
+    left = left.tolist()
+    heads = [start + _fmt(v) + "," for v in grid.n3.tolist()]
+    for v8, *values in zip(grid.n8.tolist(), grid.q1, grid.q2, grid.in_region, grid.entropy):
+        n8 = _fmt(v8) + ","
+        yes, no = n8 + inside, n8 + outside  # n8 holds no %
+        points = zip(*(v[:half].tolist() for v in values))
+        tails = [yes % (q1, q2, e) if flag else no % (q1, q2) for q1, q2, flag, e in points]
+        yield [head + tails[j] for head, j in zip(heads, left)]
 
 
 def cmd_triangle(ns) -> int:
     grid = entropy_grid(ns.resolution, ns.tol)
     if ns.format == "csv":
-        rows = _grid_rows(grid, "%s,%s,%.17g,%.17g,true,%.17g\n", "%s,%s,%.17g,%.17g,false,\n")
+        rows = _grid_rows(grid, "", "%.17g,%.17g,true,%.17g\n", "%.17g,%.17g,false,\n")
         sys.stdout.write("n3,n8,q1,q2,in_region,entropy\n")
         sys.stdout.writelines(map("".join, rows))
         return 0
-    rows = _grid_rows(grid, "[%s,%s,%.17g,%.17g,true,%.17g]", "[%s,%s,%.17g,%.17g,false,null]")
+    rows = _grid_rows(grid, "[", "%.17g,%.17g,true,%.17g]", "%.17g,%.17g,false,null]")
     return _emit(
         resolution=ns.resolution,
         n3_range=N3_RANGE,

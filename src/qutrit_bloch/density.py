@@ -83,16 +83,23 @@ def to_bloch(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
 def _checked_density(rho, tol: float = DEFAULT_TOL):
     """The one gate of every density matrix, to_bloch's: the checked complex rho and its vector."""
     rho = _checked_matrix(rho, 3)
-    with np.errstate(over="ignore"):  # finite entries: an overflowing deviation reads inf and fails
+    with np.errstate(over="ignore"):  # finite entries: an overflowing deviation or vector reads inf and fails
         herm_dev = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
         trace_dev = abs(rho.trace(axis1=-2, axis2=-1) - 1.0)
+        n = SQRT3 * _project(rho, _LAMBDA)
     _require_all(
         [
             (herm_dev <= HERMITICITY_TOL, herm_dev, "not Hermitian: max |rho - rho^dag| = {:.3e}"),
             (trace_dev <= TRACE_TOL, trace_dev, "trace must be 1: |Tr rho - 1| = {:.3e}"),
         ]
     )
-    return rho, _require_state(SQRT3 * _project(rho, _LAMBDA), tol)
+    try:
+        return rho, _require_state(n, tol)
+    except ValidationError:
+        if np.isfinite(n).all():
+            raise
+    # The projection overflowed: nan_to_num reads +-inf as the largest double, so such a vector has |n|^2 = inf.
+    return rho, _require_state(np.nan_to_num(n), tol)
 
 
 def eigvals_hermitian_3x3(mat) -> np.ndarray:

@@ -169,20 +169,29 @@ class EntropyGrid:
 
 
 def entropy_grid(resolution: int, tol: float = DEFAULT_TOL) -> EntropyGrid:
-    """Evaluate constraints and entropy on a resolution x resolution grid."""
+    """Evaluate constraints and entropy on a resolution x resolution grid.
+
+    The axes are n3[k] = (sqrt(3)/2) (2k - (R - 1))/(R - 1), exactly antisymmetric, and n8 = linspace(-1, 0.5, R).
+    At -n3 the first two weights swap bit for bit, so a right column copies its mirror's values (_mirror_columns).
+    """
     resolution = _require_size(resolution, "resolution", 2)
     _require_tol(tol)
-    n3 = np.linspace(*N3_RANGE, resolution)
+    half, left = _mirror_columns(resolution)
+    n3 = SQRT3 / 2 * ((2 * np.arange(resolution) - (resolution - 1)) / (resolution - 1))
     n8 = np.linspace(*N8_RANGE, resolution)
-    # The third weight depends on n8 alone, so no (3, R, R) stack is built.
-    # The entropy comes first, so its temporaries are gone before q1 and q2.
-    entropy = _entropy(*map(_xlogx, _weights(n3, n8[:, None])))
-    # On the broadcast axes the cubes of n8 are taken R times, not R**2 times;
-    # q1 and q2 each mix both axes, so they come out (R, R).
-    q1, q2 = _diag_constraints(n3, n8[:, None])
+    # On these axes the third weight (of n8 alone) and the cubes of n8 cost R, not R**2, and no (3, R, R)
+    # stack is built.  The entropy comes first, so its temporaries are gone before q1 and q2.
+    entropy = _entropy(*map(_xlogx, _weights(n3[:half], n8[:, None])))
+    q1, q2 = _diag_constraints(n3[:half], n8[:, None])
     in_region = np.logical_and(*_bounds(q1, q2, tol))
     entropy[~in_region] = np.nan
+    q1, q2, in_region, entropy = (a[:, left] for a in (q1, q2, in_region, entropy))
     return EntropyGrid(n3=n3, n8=n8, q1=q1, q2=q2, in_region=in_region, entropy=entropy)
+
+
+def _mirror_columns(resolution: int) -> tuple[int, np.ndarray]:
+    """(h, left): grid column k copies column left[k] = min(k, R - 1 - k), one of the first h = ceil(R/2)."""
+    return (resolution + 1) // 2, np.minimum(np.arange(resolution), np.arange(resolution)[::-1])
 
 
 def _newton_refine(p0, p1, b0, b1, level, tol, max_iter=120) -> np.ndarray:

@@ -7,6 +7,7 @@ tests can check the package against independently constructed quantities.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 SQRT3 = np.sqrt(3.0)
 
@@ -100,3 +101,18 @@ def same_bits(a, b) -> bool:
     """Equal shape, dtype and bytes: bit for bit, so -0.0 differs from 0.0."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """got == want exactly.  A mismatch fails with the first differing offset
+    and 40 characters on either side, not with pytest's diff of the whole
+    text, which can take minutes on a long one-line document."""
+    if got == want:
+        return
+    at = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    lo, hi = max(at - 40, 0), at + 40
+    pytest.fail(
+        f"texts differ at offset {at} (lengths {len(got)} and {len(want)}): "
+        f"got {got[lo:hi]!r}, want {want[lo:hi]!r}",
+        pytrace=False,
+    )

@@ -14,7 +14,7 @@ from qutrit_bloch.adjoint import _ORBIT_CHUNK
 from qutrit_bloch.cli import main
 from qutrit_bloch.gellmann import SQRT3
 
-from conftest import bloch_from_rho_oracle
+from conftest import assert_same_text, bloch_from_rho_oracle
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "tests" / "data" / "cli"
@@ -177,6 +177,13 @@ class TestConvert:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(pairs)))
         code, out, err = run(capsys, ["convert", "rho-to-bloch", "--stdin"])
         assert (code, out, err) == (2, "", "error: not Hermitian: max |rho - rho^dag| = inf\n")
+
+    def test_overflowing_vector_exits_2_naming_q1(self, capsys, monkeypatch):
+        # Hermitian with unit trace, but sqrt(3) Tr(rho lambda_3)/2 overflows.
+        pairs = [[1e308, 0.0]] + [[0.0, 0.0]] * 3 + [[-1e308, 0.0]] + [[0.0, 0.0]] * 3 + [[1.0, 0.0]]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(pairs)))
+        code, out, err = run(capsys, ["convert", "rho-to-bloch", "--stdin"])
+        assert (code, out, err) == (2, "", "error: not a state: |n|^2 = inf outside [0, 1] (not positive semidefinite)\n")
 
     def test_rho_to_bloch_honours_tol_like_bloch_to_rho(self, capsys, monkeypatch):
         # Smallest eigenvalue -1e-8: q2 exceeds 1 by about 6.75e-8, outside
@@ -495,6 +502,17 @@ def _reference_grid_rows(grid):
             yield [float(v3), float(v8), q1, q2, inside, entropy]
 
 
+def _template_grid_rows(grid, inside: str, outside: str):
+    """The grid lines of each row, one %-template per point: `inside` takes the
+    n3 and n8 strings and q1, q2 and the entropy, `outside` all but the entropy.
+    The writer the CLI had before it formatted each mirror pair's tail once."""
+    n3s = [format(v, ".17g") for v in grid.n3.tolist()]
+    for v8, q1s, q2s, flags, entropies in zip(grid.n8.tolist(), grid.q1, grid.q2, grid.in_region, grid.entropy):
+        n8 = format(v8, ".17g")
+        points = zip(n3s, q1s.tolist(), q2s.tolist(), flags.tolist(), entropies.tolist())
+        yield [inside % (n3, n8, q1, q2, e) if flag else outside % (n3, n8, q1, q2) for n3, q1, q2, flag, e in points]
+
+
 class TestRowWriterBytes:
     """The grid and orbit row templates write the bytes of a per-value serializer."""
 
@@ -520,8 +538,31 @@ class TestRowWriterBytes:
             "rows": rows,
         }
         argv = ["triangle", "--resolution", str(resolution), *tol_args]
-        assert run(capsys, argv) == (0, "\n".join(csv_lines) + "\n", "")
-        assert run(capsys, [*argv, "--format", "json"]) == (0, _reference_json(doc) + "\n", "")
+        for fmt, expected in (("csv", "\n".join(csv_lines) + "\n"), ("json", _reference_json(doc) + "\n")):
+            code, out, err = run(capsys, [*argv, "--format", fmt])
+            assert (code, err) == (0, "")
+            assert_same_text(out, expected)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    @pytest.mark.parametrize("resolution", [2, 3, 4, 7, 11, 64, 101])
+    def test_triangle_matches_the_per_point_template_writer(self, capsys, resolution, tol):
+        from qutrit_bloch.triangle import entropy_grid
+
+        grid = entropy_grid(resolution, tol)
+        csv = _template_grid_rows(grid, "%s,%s,%.17g,%.17g,true,%.17g\n", "%s,%s,%.17g,%.17g,false,\n")
+        rows = _template_grid_rows(grid, "[%s,%s,%.17g,%.17g,true,%.17g]", "[%s,%s,%.17g,%.17g,false,null]")
+        head = '{"schema_version":"1","resolution":%d,"n3_range":[%.17g,%.17g],"n8_range":[-1,0.5],' % (
+            resolution, -SQRT3 / 2, SQRT3 / 2
+        )
+        columns = '"columns":["n3","n8","q1","q2","in_region","entropy"],'
+        expected = {
+            "csv": "n3,n8,q1,q2,in_region,entropy\n" + "".join(map("".join, csv)),
+            "json": head + columns + '"rows":[' + ",".join(map(",".join, rows)) + "]}\n",
+        }
+        for fmt, text in expected.items():
+            code, out, err = run(capsys, ["triangle", "--resolution", str(resolution), "--tol", repr(tol), "--format", fmt])
+            assert (code, err) == (0, "")
+            assert_same_text(out, text)
 
     @pytest.mark.parametrize("count", [1, 64, _ORBIT_CHUNK + 3])
     def test_orbit_matches_per_value_serializer(self, capsys, count):
@@ -592,7 +633,7 @@ class TestStreaming:
         code, writes = run_recorded(monkeypatch, case["argv"], case["stdin"] or "")
         expected = (CORPUS / f"{name}.out").read_text()
         assert code == case["exit_code"] == 0
-        assert "".join(writes) == expected
+        assert_same_text("".join(writes), expected)
         envelope, items = envelope_and_items(expected, key)
         assert max(map(len, writes)) <= len(envelope) + per_write * max(map(len, items))
         assert len(writes) >= len(items) / per_write

@@ -15,6 +15,8 @@ import pytest
 
 from qutrit_bloch.cli import main
 
+from conftest import assert_same_text
+
 CORPUS = Path(__file__).resolve().parent / "data" / "cli"
 CASES = json.loads((CORPUS / "cases.json").read_text())
 LAPACK_FIELDS = {"check": ("eigenvalues", "entropy"), "orbit": ("samples",)}
@@ -42,7 +44,7 @@ def test_replays_byte_for_byte(case, capsys, monkeypatch):
     keys = LAPACK_FIELDS.get(case["argv"][0], ()) if expected else ()
     out, got = split_fields(out, keys)
     expected, want = split_fields(expected, keys)
-    assert out == expected
+    assert_same_text(out, expected)
     for key, g, w in zip(keys, got, want):
         if w is None:
             assert g is None, key

@@ -233,6 +233,29 @@ class TestOverflowingEntries:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             fn(rho)
 
+    # Hermitian with unit trace, but n3 = sqrt(3) 1e308 (diagonal) or n1 (off-diagonal) overflows.
+    OVERFLOWING_VECTOR = [np.diag([1e308, -1e308, 1.0]), np.array([[1.0, 1e308, 0.0], [1e308, 0.0, 0.0], [0.0, 0.0, 0.0]])]
+    q1_inf = r"^not a state: \|n\|\^2 = inf outside \[0, 1\] \(not positive semidefinite\)$"
+
+    @pytest.mark.parametrize("rho", OVERFLOWING_VECTOR, ids=["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize(
+        "fn",
+        [density.to_bloch, density.validate_density, density.spectrum, density.char_poly_coeffs,
+         density.entropy_of_mixing],
+    )
+    def test_an_overflowing_vector_fails_q1_as_inf(self, fn, rho):
+        with pytest.raises(ValidationError, match=self.q1_inf):
+            fn(rho)
+
+    def test_a_stack_raises_for_its_first_matrix_that_is_not_a_state(self):
+        valid, overflowing, other = np.eye(3) / 3, self.OVERFLOWING_VECTOR[0], np.diag([2.0, -1.0, 0.0])
+        with pytest.raises(ValidationError, match=self.q1_inf):
+            density.to_bloch(np.stack([valid, overflowing, other]))
+        with pytest.raises(ValidationError, match=r"^not a state: \|n\|\^2 = 7 outside"):
+            density.to_bloch(np.stack([[valid, other], [overflowing, valid]]))
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            density.to_bloch(overflowing, -1.0)
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_eigenvalues_take_the_hermitian_part_without_overflow(self, sign):
         # Its Hermitian part is diag(1, 1, -1) * 1e308, though a + a^dag overflows.

@@ -420,6 +420,19 @@ class TestEntropyGrid:
         grid = triangle.entropy_grid(200)
         assert abs(grid.in_region.mean() - 0.5) <= 0.01
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    @pytest.mark.parametrize("resolution", [2, 3, 7, 64, 100, 101, 257])
+    def test_grid_is_mirror_symmetric_bit_for_bit(self, resolution, tol):
+        # Swapping the first two basis states maps n3 to -n3 and keeps q1, q2
+        # and the entropy, so no in_region verdict may differ from its mirror's.
+        grid = triangle.entropy_grid(resolution, tol)
+        assert np.array_equal(grid.n3, -grid.n3[::-1])
+        assert (grid.n3[0], grid.n3[-1]) == (-SQRT3 / 2, SQRT3 / 2)
+        if resolution % 2:
+            assert same_bits(grid.n3[resolution // 2], 0.0)
+        for values in (grid.q1, grid.q2, grid.entropy, grid.in_region):
+            assert same_bits(values, values[:, ::-1])
+
 
 def clipped_entropy(weights):
     """mixing_entropy written with np.clip and one log per weight."""
