@@ -1,27 +1,32 @@
 #!/usr/bin/env python3
-"""Regenerate the golden CLI corpus in tests/data/cli/.
+"""Record the golden CLI corpus in tests/data/cli/, and run its cases.
 
-Runs each case below through the CLI in-process and writes its expected
-stdout to `<name>.out` and its argv, stdin and exit code to `cases.json`.
-`tests/test_cli_corpus.py` replays the corpus.  After a change to the CLI's
-output, rerun this script and review `git diff tests/data/cli/`: only the
-documents the change meant to alter may differ.
+`cases()` is the one case list and `run_case` the one runner: a fresh
+`python -m qutrit_bloch.cli` process, which calls `entrypoint()` as the
+installed `qutrit-bloch` script does, importing the package from this
+checkout's src/.  This script records each case's stdout to `<name>.out` and
+its argv, stdin and exit code to `cases.json`.  `tests/test_cli_corpus.py`
+replays every case through the same runner under one exact rule: stdout byte
+for byte, the exit code, and an empty stderr or one `error: ` line.  After a
+change to the CLI's output, rerun this script and review
+`git diff tests/data/cli/`: only the documents the change meant to alter may
+differ.
 
     PYTHONPATH=src python scripts/make_cli_corpus.py
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-from qutrit_bloch import cli
 from qutrit_bloch.triangle import VERTICES, bloch_from_diag, named_points
 
-CORPUS = Path(__file__).resolve().parents[1] / "tests" / "data" / "cli"
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "tests" / "data" / "cli"
 
 MIXED = ["0.2", "-0.1", "0.3", "0.05", "0", "0.1", "-0.2", "0.15"]
 # rho = |psi><psi| with psi = (1, 1, 1)/sqrt(3), as nested rows of [re, im]
@@ -54,24 +59,26 @@ def cases() -> list[tuple[str, list[str], str | None]]:
     return out
 
 
-def run_case(argv: list[str], stdin: str | None) -> tuple[int, str]:
-    """Exit code and stdout of the CLI on argv with the given stdin text."""
-    out, saved = io.StringIO(), sys.stdin
-    sys.stdin = io.StringIO(stdin or "")
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(argv)
-    finally:
-        sys.stdin = saved
-    return code, out.getvalue()
+def run_case(argv: list[str], stdin: str | None) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of a fresh CLI process on argv, fed the
+    stdin text.  The streams are decoded as UTF-8 with no newline
+    translation, so equal texts mean equal bytes."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "qutrit_bloch.cli", *argv],
+        input=(stdin or "").encode(),
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    return run.returncode, run.stdout.decode(), run.stderr.decode()
 
 
 def main() -> None:
     CORPUS.mkdir(parents=True, exist_ok=True)
     manifest = []
     for name, argv, stdin in cases():
-        code, stdout = run_case(argv, stdin)
-        (CORPUS / f"{name}.out").write_text(stdout)
+        code, stdout, _ = run_case(argv, stdin)
+        (CORPUS / f"{name}.out").write_bytes(stdout.encode())
         manifest.append({"name": name, "argv": argv, "stdin": stdin, "exit_code": code})
     (CORPUS / "cases.json").write_text(json.dumps(manifest, indent=1) + "\n")
     print(f"wrote {len(manifest)} cases to {CORPUS}")

@@ -13,8 +13,10 @@ subgroup of SO(8); this module certifies the necessary conditions
 
 Haar-random special unitaries come from QR orthonormalization of a complex
 Gaussian matrix with the R-diagonal phase fix, then a global det-normalizing
-phase.  The generator is numpy's default PCG64; a given seed reproduces the
-same matrices on every platform, which is part of the public contract.
+phase.  The generator is numpy's default PCG64, which is part of the public
+contract: a given seed gives the same normals, bit for bit, on every SIMD
+dispatch path.  The matrices built from them are the same on one machine and
+numpy build, but can differ by up to 2e-16 per entry between dispatch paths.
 """
 
 from __future__ import annotations
