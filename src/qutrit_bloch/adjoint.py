@@ -13,10 +13,13 @@ subgroup of SO(8); this module certifies the necessary conditions
 
 Haar-random special unitaries come from QR orthonormalization of a complex
 Gaussian matrix with the R-diagonal phase fix, then a global det-normalizing
-phase.  The generator is numpy's default PCG64, which is part of the public
-contract: a given seed gives the same normals, bit for bit, on every SIMD
-dispatch path.  The matrices built from them are the same on one machine and
-numpy build, but can differ by up to 2e-16 per entry between dispatch paths.
+phase (Mezzadri, Notices AMS 54, 2007).  They are special unitary by
+construction, to about 2e-15, so only the matrices that callers pass to
+adjoint_su3 and adjoint_su2 are checked against UNITARY_TOL.  The generator
+is numpy's default PCG64, which is part of the public contract: a given seed
+gives the same normals, bit for bit, on every SIMD dispatch path.  The
+matrices built from them are the same on one machine and numpy build, but can
+differ by up to 2e-16 per entry between dispatch paths.
 """
 
 from __future__ import annotations
@@ -107,7 +110,9 @@ def orbit_sample(n, count: int, seed: int, tol: float = DEFAULT_TOL) -> np.ndarr
     sampler owns a private generator, so concurrent calls with distinct seeds
     are independent and a fixed (n, count, seed) is fully reproducible.
     Samples are drawn in fixed chunks, which bounds memory; the rows equal
-    one batch drawn from the same generator.
+    one batch drawn from the same generator.  n, tol and count are each checked
+    once, in that order; the Haar unitaries are special unitary by construction
+    and are not checked.
     """
     n = _require_state(n, tol)
     if n.shape != (8,):
@@ -118,7 +123,6 @@ def orbit_sample(n, count: int, seed: int, tol: float = DEFAULT_TOL) -> np.ndarr
     rng = np.random.default_rng(seed)
     out = np.empty((count, 8))
     for start in range(0, count, _ORBIT_CHUNK):
-        block = out[start : start + _ORBIT_CHUNK]
-        u = _validate_special_unitary(_haar_special_unitary(3, rng, (len(block),)), 3)
-        block[:] = _project(u @ traceless @ u.conj().swapaxes(-1, -2), _LAMBDA)
+        u = _haar_special_unitary(3, rng, (min(count - start, _ORBIT_CHUNK),))
+        out[start : start + _ORBIT_CHUNK] = _project(u @ traceless @ u.conj().swapaxes(-1, -2), _LAMBDA)
     return out

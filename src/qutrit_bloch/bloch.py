@@ -50,13 +50,26 @@ class ValidationError(ValueError):
     """A quantity failed one of its domain invariants."""
 
 
+def _converted(values, kinds: str, dtype, message: str) -> np.ndarray:
+    """values as a dtype array, the one dtype rule of every vector, matrix and eigenvalue input.
+
+    An array whose numpy dtype kind is not in kinds (bool, string, object, or complex where kinds are real) raises.
+    """
+    a = np.asarray(values)
+    if a.dtype != dtype:
+        if a.dtype.kind not in kinds:
+            raise ValidationError(f"{message}, got dtype {a.dtype}")
+        a = a.astype(dtype)
+    return a
+
+
 def _checked(values) -> tuple[np.ndarray, bool]:
     """as_bloch_vector(values), and whether no component exceeds _SAFE.
 
     One reduction answers both: the bound fails on NaN and inf too, and only
     then does the finiteness test run.
     """
-    n = np.asarray(values, dtype=float)
+    n = _converted(values, "iuf", float, "Bloch vector components must be real numbers")
     if n.shape[-1:] != (8,):
         raise ValidationError(f"Bloch vector must have 8 components, got shape {n.shape}")
     safe = bool(np.abs(n).max(initial=0.0) <= _SAFE)
@@ -67,7 +80,7 @@ def _checked(values) -> tuple[np.ndarray, bool]:
 
 def _checked_matrix(values, dim: int) -> np.ndarray:
     """Coerce to a complex (..., dim, dim) array: the one check of every matrix input."""
-    a = np.asarray(values, dtype=complex)
+    a = _converted(values, "iufc", complex, "matrix entries must be numbers")
     if a.shape[-2:] != (dim, dim):
         raise ValidationError(f"expected a {dim}x{dim} matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -220,6 +233,8 @@ def _require_tol(tol: float) -> None:
 def _require_size(value, name: str, minimum: int) -> int:
     """value as an int of at least minimum: the one check of every size argument (resolution, count)."""
     try:
+        if isinstance(value, bool):  # an int to Python, but not a size
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -294,13 +309,13 @@ def geodesic_distance(n, m, tol: float = DEFAULT_TOL) -> float:
     the plain 8-vector angle; no projective-metric scale factor is applied.
     Takes two single vectors, not stacks.
     """
-    checked = []
     for name, v in (("first", n), ("second", m)):
         if np.shape(v) != (8,):
             raise ValidationError(f"geodesic_distance: {name} argument must have shape (8,), got {np.shape(v)}")
-        checked.append(_checked(v))
-        _require_tol(tol)  # after each vector, as is_pure checks it
-        if not _pure(*checked[-1], tol):
+    checked = [_checked(n), _checked(m)]
+    _require_tol(tol)
+    for name, v in zip(("first", "second"), checked):
+        if not _pure(*v, tol):
             raise ValidationError(f"geodesic_distance: {name} argument is not a pure state")
     c = float(_bilinear(partial(np.vecdot, keepdims=True), *checked)[0])  # dot(n, m) of the checked pairs
     return math.acos(min(1.0, max(-1.0, c)))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .adjoint import _ORBIT_CHUNK, orbit_sample
 from .bloch import DEFAULT_TOL, ValidationError, _pure, _report
-from .density import _bloch_matrix, _eigvalsh, from_bloch, mixing_entropy, to_bloch
+from .density import _bloch_matrix, _eigvalsh, _entropy, _xlogx, from_bloch, to_bloch
 from .triangle import N3_RANGE, N8_RANGE, _contours, _mirror_columns, bloch_from_diag, entropy_grid, named_points
 
 SCHEMA_VERSION = "1"
@@ -161,7 +161,7 @@ def cmd_check(ns) -> int:
         is_state=valid,
         is_pure=bool(_pure(n, safe, ns.tol, q1)),
         eigenvalues=eigenvalues,
-        entropy=mixing_entropy(eigenvalues) if valid else None,
+        entropy=_entropy(*_xlogx(eigenvalues)) if valid else None,
     )
     return 0 if valid else 2
 
@@ -294,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("contour", help="emit equi-entropy polylines")
     p.add_argument("--levels", required=True, help="comma-separated entropy levels in (0, 1)")
     p.add_argument("--resolution", type=int, default=256, help="lattice points per triangle edge")
-    _add_tol(p)
+    p.add_argument(
+        "--tol", type=_finite_float, default=DEFAULT_TOL, help="positive |E - level| target of every contour point"
+    )
     p.set_defaults(func=cmd_contour)
 
     p = sub.add_parser("orbit", help="sample the unitary orbit of a state")

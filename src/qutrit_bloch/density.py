@@ -27,7 +27,9 @@ import math
 
 import numpy as np
 
-from .bloch import DEFAULT_TOL, ValidationError, _checked_matrix, _require_all, _require_state, as_bloch_vector
+from .bloch import (
+    DEFAULT_TOL, ValidationError, _checked_matrix, _converted, _require_all, _require_state, as_bloch_vector
+)
 from .gellmann import _LAMBDA, SQRT3, _dot_lambda, _project
 
 HERMITICITY_TOL = 1e-12
@@ -150,7 +152,7 @@ def mixing_entropy(eigenvalues) -> float | np.ndarray:
     gives a scalar.  Entries within round-off below zero are clipped; inputs
     are expected to sum to 1.
     """
-    xs = np.asarray(eigenvalues, dtype=float)
+    xs = _converted(eigenvalues, "iuf", float, "eigenvalues must be real numbers")
     if xs.shape[:1] != (3,):
         raise ValidationError(f"eigenvalue triples must run along the first axis, got shape {xs.shape}")
     return _entropy(*_xlogx(xs))

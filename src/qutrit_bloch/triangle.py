@@ -240,8 +240,9 @@ def equi_entropy_contour(
     around the origin.  A closed curve ends with its first point.
 
     Raises ValueError for a bad resolution, level or tol, checked in that
-    order before any entropy is computed, and ValidationError when no lattice
-    cell brackets the level (the level is not attained at this resolution).
+    order before any entropy is computed (the contour command checks every
+    level before tol, which it checks once), and ValidationError when no
+    lattice cell brackets the level (it is not attained at this resolution).
     """
     return _contours([level], tol, resolution)[0][1]
 
@@ -253,8 +254,8 @@ def _contours(levels, tol: float, resolution) -> list[tuple[float, list[list[Dia
     for level in levels:
         if not 0.0 < level < 1.0:
             raise ValueError(f"contour level must be in (0, 1), got {level}")
-        if not tol > 0:  # a convergence target, so 0 is rejected too (and NaN)
-            raise ValueError("tol must be positive")
+    if not tol > 0:  # a convergence target, so 0 is rejected too (and NaN)
+        raise ValueError("tol must be positive")
     entropy = _lattice_entropy(resolution)
     return [(level, _lattice_contour(entropy, level, tol)) for level in levels]
 

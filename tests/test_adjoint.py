@@ -205,6 +205,10 @@ class TestHaarSampling:
             u = adjoint.haar_random_su3(seed)
             np.testing.assert_allclose(u.conj().T @ u, np.eye(3), atol=1e-12)
             assert abs(np.linalg.det(u) - 1.0) <= 1e-12
+        # orbit_sample does not check its draws, so a batch draw must be special unitary by construction
+        u = adjoint._haar_special_unitary(3, np.random.default_rng(0), (20000,))
+        assert np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(3)).max() <= 1e-12
+        assert np.abs(np.linalg.det(u) - 1.0).max() <= 1e-12
 
     def test_fixed_seed_draw_is_pinned(self):
         # Part of the public contract: seed 7 gives these exact doubles.
@@ -337,7 +341,9 @@ class TestOrbitSample:
         with pytest.raises(ValueError, match="^count must be at least 1$"):
             adjoint.orbit_sample(N_R, 0, seed=0)
 
-    @pytest.mark.parametrize("count, shown", [(2.5, "2.5"), (1.0, "1.0"), ("3", "'3'"), (None, "None")])
+    @pytest.mark.parametrize(
+        "count, shown", [(2.5, "2.5"), (1.0, "1.0"), ("3", "'3'"), (None, "None"), (True, "True"), (np.True_, "np.True_")]
+    )
     def test_rejects_a_count_that_is_not_an_integer(self, count, shown):
         with pytest.raises(ValueError, match=f"^count must be an integer, got {shown}$"):
             adjoint.orbit_sample(N_R, count, seed=0)

@@ -463,6 +463,20 @@ class TestFloatSerialization:
         assert code == 0
         assert "qutrit-bloch" in out
 
+    @pytest.mark.parametrize(
+        "command, tol_help",
+        [
+            ("check", "state-predicate tolerance"),
+            ("triangle", "state-predicate tolerance"),
+            ("contour", "positive |E - level| target of every contour point"),
+        ],
+        ids=["check", "triangle", "contour"],
+    )
+    def test_tol_help_names_what_tol_bounds(self, capsys, command, tol_help):
+        code, out, _ = run(capsys, [command, "--help"])
+        assert code == 0
+        assert " ".join(out.split("\n  --tol TOL")[1].split()) == tol_help  # the option's help, unwrapped
+
 
 def _reference_json(obj) -> str:
     """An independent JSON writer: recursive, 17 significant digits per float."""
