@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bloch import DEFAULT_TOL, ValidationError, _checked_matrix, _require_all, _require_size, _require_state
+from .bloch import DEFAULT_TOL, ValidationError, _checked, _checked_matrix, _require_all, _require_size, _require_state
 from .gellmann import _LAMBDA, _dot_lambda, _project
 
 UNITARY_TOL = 1e-12
@@ -110,13 +110,15 @@ def orbit_sample(n, count: int, seed: int, tol: float = DEFAULT_TOL) -> np.ndarr
     sampler owns a private generator, so concurrent calls with distinct seeds
     are independent and a fixed (n, count, seed) is fully reproducible.
     Samples are drawn in fixed chunks, which bounds memory; the rows equal
-    one batch drawn from the same generator.  n, tol and count are each checked
-    once, in that order; the Haar unitaries are special unitary by construction
-    and are not checked.
+    one batch drawn from the same generator.  n's entries and shape (one
+    vector, not a stack), then tol, then the state, then count are each
+    checked once, in that order; the Haar unitaries are special unitary by
+    construction and are not checked.
     """
-    n = _require_state(n, tol)
+    n, safe = _checked(n)
     if n.shape != (8,):
         raise ValidationError(f"orbit_sample takes one Bloch vector, got shape {n.shape}")
+    _require_state(n, safe, tol)
     count = _require_size(count, "count", 1)
     # The identity part of rho commutes with U, so only n.lambda is rotated.
     traceless = _dot_lambda(n)

@@ -277,28 +277,27 @@ def is_mixed_state(n, tol: float = DEFAULT_TOL):
     Covers every density matrix, pure states included; the name follows the
     mixed-state parametrization the constraints were derived from.
     """
-    n, _, _, below = _report(n, tol)
-    inside = np.logical_and(*below)
+    n, safe = _checked(n)
+    inside = np.logical_and(*_judged(n, safe, tol)[1])
     return bool(inside) if n.ndim == 1 else inside
 
 
-def _require_state(n, tol: float) -> np.ndarray:
-    """Return n as an array if is_mixed_state(n, tol) holds throughout.
+def _judged(n, safe: bool, tol: float):
+    """The one state judgement, of n and safe as _checked reports them: tol checked, then (q1, q2) and their _bounds."""
+    _require_tol(tol)
+    q = _constraints(n, safe)
+    return q, _bounds(*q, tol)
+
+
+def _require_state(n, safe: bool, tol: float) -> np.ndarray:
+    """Return n, as _checked reports it with safe, if is_mixed_state(n, tol) holds throughout.
 
     Otherwise raise for the first failing vector in C order, naming the first
     constraint it violates.
     """
-    n, _, q, below = _report(n, tol)
+    q, below = _judged(n, safe, tol)
     _require_all(list(zip(below, q, _NOT_A_STATE)))
     return n
-
-
-def _report(n, tol: float):
-    """The one pass of the state gates and CLI check: n checked, then tol; n, safe, (q1, q2), their _bounds."""
-    n, safe = _checked(n)
-    _require_tol(tol)
-    q = _constraints(n, safe)
-    return n, safe, q, _bounds(*q, tol)
 
 
 def geodesic_distance(n, m, tol: float = DEFAULT_TOL) -> float:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .adjoint import _ORBIT_CHUNK, orbit_sample
-from .bloch import DEFAULT_TOL, ValidationError, _pure, _report
+from .bloch import DEFAULT_TOL, ValidationError, _checked, _judged, _pure
 from .density import _bloch_matrix, _eigvalsh, _entropy, _xlogx, from_bloch, to_bloch
 from .triangle import N3_RANGE, N8_RANGE, _contours, _mirror_columns, bloch_from_diag, entropy_grid, named_points
 
@@ -151,7 +151,8 @@ def _matrix_arg(ns) -> np.ndarray:
 
 
 def cmd_check(ns) -> int:
-    n, safe, (q1, q2), below = _report(_vector_arg(ns), ns.tol)
+    n, safe = _checked(_vector_arg(ns))
+    (q1, q2), below = _judged(n, safe, ns.tol)
     valid = bool(np.logical_and(*below))
     eigenvalues = _eigvalsh(_bloch_matrix(n))
     _emit(

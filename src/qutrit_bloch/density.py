@@ -19,6 +19,7 @@ Every function broadcasts over leading axes: (..., 8) vectors and (..., 3, 3)
 matrices give stacks of results, while one vector or matrix gives the same
 Python types and bits as a scalar-only implementation.  Each public call
 checks its input once; internal code calls the kernels behind the checks.
+The density gate's own projection of a checked rho is judged, not checked again.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import math
 import numpy as np
 
 from .bloch import (
-    DEFAULT_TOL, ValidationError, _checked_matrix, _converted, _require_all, _require_state, as_bloch_vector
+    _SAFE, DEFAULT_TOL, ValidationError, _checked, _checked_matrix, _converted, _require_all, _require_state,
+    as_bloch_vector
 )
 from .gellmann import _LAMBDA, SQRT3, _dot_lambda, _project
 
@@ -67,7 +69,7 @@ def from_bloch(n, tol: float = DEFAULT_TOL) -> np.ndarray:
     Raises ValidationError naming the violated constraint when n (or the
     first failing vector of a stack) does not parametrize a state.
     """
-    return _bloch_matrix(_require_state(n, tol))
+    return _bloch_matrix(_require_state(*_checked(n), tol))
 
 
 def to_bloch(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -95,13 +97,10 @@ def _checked_density(rho, tol: float = DEFAULT_TOL):
             (trace_dev <= TRACE_TOL, trace_dev, "trace must be 1: |Tr rho - 1| = {:.3e}"),
         ]
     )
-    try:
-        return rho, _require_state(n, tol)
-    except ValidationError:
-        if np.isfinite(n).all():
-            raise
-    # The projection overflowed: nan_to_num reads +-inf as the largest double, so such a vector has |n|^2 = inf.
-    return rho, _require_state(np.nan_to_num(n), tol)
+    # n is the gate's own projection, judged without a second check; where it overflowed,
+    # nan_to_num reads +-inf as the largest double, so |n|^2 = inf.
+    safe = bool(np.abs(n).max(initial=0.0) <= _SAFE)
+    return rho, _require_state(n if safe else np.nan_to_num(n), safe, tol)
 
 
 def eigvals_hermitian_3x3(mat) -> np.ndarray:

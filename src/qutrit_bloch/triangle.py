@@ -237,7 +237,10 @@ def equi_entropy_contour(
     |E - level| <= tol, so every returned vertex satisfies the tolerance.
     Below log3(2), the entropy at the edge midpoints, the set is three arcs,
     each cutting off one vertex and ending on two edges; above it, one loop
-    around the origin.  A closed curve ends with its first point.
+    around the origin.  A lattice point whose entropy equals the level counts
+    as above it, so log3(2) itself gives three arcs that meet at the edge
+    midpoints when resolution is odd (the midpoints are lattice points) and
+    one loop when it is even.  A closed curve ends with its first point.
 
     Raises ValueError for a bad resolution, level or tol, checked in that
     order before any entropy is computed (the contour command checks every

@@ -333,9 +333,14 @@ class TestOrbitSample:
         with pytest.raises(ValidationError):
             adjoint.orbit_sample(2.0 * N_R, 5, seed=0)
 
-    def test_rejects_a_stack_of_states(self):
-        with pytest.raises(ValidationError, match="one Bloch vector"):
-            adjoint.orbit_sample(np.stack([N_R, N_R]), 5, seed=0)
+    @pytest.mark.parametrize(
+        "stack, tol",
+        [(np.stack([N_R, N_R]), 1e-9), (np.stack([N_R, N_R]), -1.0), (np.stack([N_R, 2.0 * N_R]), 1e-9)],
+        ids=["states", "bad-tol", "not-a-state"],
+    )
+    def test_rejects_a_stack_of_states(self, stack, tol):
+        with pytest.raises(ValidationError, match=r"^orbit_sample takes one Bloch vector, got shape \(2, 8\)$"):
+            adjoint.orbit_sample(stack, 5, seed=0, tol=tol)
 
     def test_rejects_non_positive_count(self):
         with pytest.raises(ValueError, match="^count must be at least 1$"):

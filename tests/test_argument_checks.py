@@ -31,7 +31,8 @@ def checks(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
 
-    count(bloch, "_checked")
+    for module in (bloch, density, adjoint, cli):  # each module that calls _checked imports it by name
+        count(module, "_checked")
     count(triangle, "_checked_point")
     count(density, "_checked_matrix")
     count(adjoint, "_checked_matrix")
@@ -48,10 +49,6 @@ class CountingTol(float):
     def __gt__(self, other):
         self.compared += 1
         return float(self) > other
-
-
-def rho():
-    return density.from_bloch(sample_valid_bloch(np.random.default_rng(53), 1)[0])
 
 
 STATE = sample_valid_bloch(np.random.default_rng(71), 1)[0]
@@ -83,9 +80,15 @@ class TestCheckCounts:
     )
     @pytest.mark.parametrize("stack", [False, True], ids=["one", "stack"])
     def test_matrix_functions_check_the_matrix_once(self, name, stack, checks):
-        m = rho()
-        getattr(density, name)(np.stack([m, m]) if stack else m)
+        getattr(density, name)(np.stack([RHO, RHO]) if stack else RHO)
         assert checks["_checked_matrix"] == 1
+        assert checks["_checked"] == 0  # the vector is the gate's own projection: judged, not checked
+
+    def test_an_overflowing_projection_is_judged_once_and_not_checked(self, checks):
+        with pytest.raises(bloch.ValidationError, match=r"^not a state: \|n\|\^2 = inf outside \[0, 1\]"):
+            density.to_bloch(np.diag([1e308, -1e308, 1.0]))
+        assert checks["_checked"] == 0
+        assert checks["_require_tol"] == 1
 
     @pytest.mark.parametrize("call", [bloch.is_mixed_state, bloch.is_pure, density.from_bloch])
     def test_state_gates_check_the_vector_once(self, call, checks):

@@ -319,6 +319,17 @@ class TestContour:
         assert len(calls) == 1
         assert out == expected
 
+    @pytest.mark.parametrize(
+        "resolution, shape",
+        [(65, [(False, 98)] * 3), (257, [(False, 394)] * 3), (64, [(True, 289)]), (256, [(True, 1183)])],
+    )
+    def test_a_lattice_point_at_the_level_counts_as_above_it(self, capsys, resolution, shape):
+        # log3(2) = 0.6309297535714574 is the lattice entropy at the edge midpoints of an odd resolution
+        code, out, _ = run(capsys, ["contour", "--levels", "0.6309297535714574", "--resolution", str(resolution)])
+        assert code == 0
+        (entry,) = json.loads(out)["levels"]
+        assert [(line[0] == line[-1], len(line)) for line in entry["polylines"]] == shape
+
     def test_missing_or_empty_levels_exit_1(self, capsys):
         for argv in (["contour"], ["contour", "--levels", ""], ["contour", "--levels", ","]):
             code, out, err = run(capsys, argv)

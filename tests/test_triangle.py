@@ -509,16 +509,24 @@ class TestContours:
         for line in triangle.equi_entropy_contour(level, tol=1e-9, resolution=resolution):
             assert all(p != q for p, q in zip(line, line[1:]))
 
-    def test_mirror_symmetry(self):
-        level = 0.7
-        lines = triangle.equi_entropy_contour(level, tol=1e-10, resolution=200)
-        pts = np.array([p for line in lines for p in line])
-        for n3, n8 in pts:
-            assert abs(triangle.diag_entropy((-n3, n8)) - level) <= 1e-10
-        # the mirrored point set coincides with the original set
-        mirrored = pts * [-1, 1]
-        dists = np.abs(mirrored[:, None, :] - pts[None, :, :]).sum(axis=2).min(axis=1)
-        assert dists.max() <= 2 * SQRT3 / 199
+    @pytest.mark.parametrize("resolution", [64, 65, 256, 257])
+    @pytest.mark.parametrize("level", [0.05, 0.1, 0.3, 0.5, 0.6, 0.7, 0.9])
+    def test_mirror_symmetry(self, level, resolution):
+        # n3 -> -n3 maps the point set onto itself bit for bit, at odd and even resolutions
+        points = {p for line in triangle.equi_entropy_contour(level, resolution=resolution) for p in line}
+        assert {triangle.DiagPoint(-n3, n8) for n3, n8 in points} == points
+
+    @pytest.mark.parametrize(
+        "resolution, shape",
+        [(65, [(False, 98)] * 3), (257, [(False, 394)] * 3), (64, [(True, 289)]), (256, [(True, 1183)])],
+    )
+    def test_a_lattice_point_at_the_level_counts_as_above_it(self, resolution, shape):
+        # log3(2) is bit for bit the lattice entropy at the three edge midpoints of an odd resolution;
+        # counted above the level, each midpoint splits the set into three arcs
+        level = 0.6309297535714574
+        assert level == math.log(2, 3)
+        lines = triangle.equi_entropy_contour(level, resolution=resolution)
+        assert [(line[0] == line[-1], len(line)) for line in lines] == shape
 
     def test_polylines_are_chains_of_nearby_points(self):
         step = 2 * SQRT3 / 127
