@@ -8,19 +8,18 @@ touched.  For each mutant the script runs tier 1 with `-x` on a copy of the
 checkout in a temporary directory (never on the checkout itself), and the
 mutant is killed when the suite fails or times out.  It prints every
 survivor as `path:line:col  old -> new` and a count per module.  A whole pass
-takes several minutes; it is not part of CI.
+takes several minutes; it is not part of CI.  Before any mutant, tier 1 must
+pass on each unmutated copy, or the script exits 1: a copy that cannot pass
+would count every mutant as killed.
 
     python scripts/mutants.py              # two tier-1 runs at a time
-    python scripts/mutants.py --workers 1
-    python scripts/mutants.py --list       # print the mutants only
 
-The 9 survivors of the last pass (of 59 mutants), each likely equivalent, so
+The 8 survivors of the last pass (of 58 mutants), each likely equivalent, so
 that a later pass can show the list got shorter:
 
-- the four `_SAFE` comparisons, in `bloch._checked`, `bloch._scaled`,
-  `bloch._pure` and `density._checked_density`, which differ only at a
-  component of exactly 1e100, where the plain and the scaled paths agree to
-  rounding;
+- the three `_SAFE` comparisons, in `bloch._built`, `bloch._scaled` and
+  `bloch._pure`, which differ only at a component of exactly 1e100, where the
+  plain and the scaled paths agree to rounding;
 - the two unitary bounds of `adjoint._validate_special_unitary`
   (`dev <= UNITARY_TOL` and `|det U - 1| <= UNITARY_TOL`), which a matrix
   meets with equality only by accident;
@@ -31,7 +30,6 @@ that a later pass can show the list got shorter:
 
 from __future__ import annotations
 
-import argparse
 import io
 import os
 import shutil
@@ -45,8 +43,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src") / "qutrit_bloch"
 FLIPS = {"<=": "<", "<": "<=", ">=": ">", ">": ">=", "==": "!=", "!=": "=="}
-TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
 TIMEOUT_S = 600
+WORKERS = 2
 
 
 def mutants() -> list[tuple[Path, int, int, str]]:
@@ -75,39 +74,39 @@ def copy_checkout(into: Path) -> Path:
     return Path(shutil.copytree(ROOT, into / "checkout", ignore=ignore))
 
 
-def survived(copy: Path, mutant) -> bool:
-    """Write one mutant into copy, run tier 1 there and restore the module: whether tier 1 passed in time."""
-    path, line, col, op = mutant
-    target = copy / path
-    original = target.read_text()
-    target.write_text(mutated(original, line, col, op))
+def passes(copy: Path) -> bool:
+    """Whether tier 1 passes in copy in time."""
     # no bytecode cache: an `==` <-> `!=` mutant keeps the file's size, and may keep its mtime
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
         return subprocess.run(TIER1, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S).returncode == 0
     except subprocess.TimeoutExpired:
         return False
+
+
+def survived(copy: Path, mutant) -> bool:
+    """Write one mutant into copy, run tier 1 there and restore the module: whether tier 1 passed in time."""
+    path, line, col, op = mutant
+    target = copy / path
+    original = target.read_text()
+    target.write_text(mutated(original, line, col, op))
+    try:
+        return passes(copy)
     finally:
         target.write_text(original)
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workers", type=int, choices=(1, 2), default=2, help="tier-1 runs at a time")
-    parser.add_argument("--list", action="store_true", help="print the mutants without running them")
-    args = parser.parse_args()
     todo = mutants()
-    if args.list:
-        for path, line, col, op in todo:
-            print(f"{path}:{line}:{col}  {op} -> {FLIPS[op]}")
-        print(f"{len(todo)} mutants")
-        return 0
     with tempfile.TemporaryDirectory() as scratch:
-        copies = [copy_checkout(Path(scratch) / str(k)) for k in range(args.workers)]
-        # worker k takes every workers-th mutant, on its own copy
-        chunks = [todo[k :: args.workers] for k in range(args.workers)]
-        with ThreadPoolExecutor(args.workers) as pool:
-            runs = pool.map(lambda k: [m for m in chunks[k] if survived(copies[k], m)], range(args.workers))
+        copies = [copy_checkout(Path(scratch) / str(k)) for k in range(WORKERS)]
+        with ThreadPoolExecutor(WORKERS) as pool:
+            if not all(pool.map(passes, copies)):
+                print("tier 1 fails on the unmutated checkout; no mutant was run", file=sys.stderr)
+                return 1
+            # worker k takes every WORKERS-th mutant, on its own copy
+            chunks = [todo[k::WORKERS] for k in range(WORKERS)]
+            runs = pool.map(lambda k: [m for m in chunks[k] if survived(copies[k], m)], range(WORKERS))
             alive = {m for run in runs for m in run}
     survivors = [m for m in todo if m in alive]
     for path, line, col, op in survivors:

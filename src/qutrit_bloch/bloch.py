@@ -72,10 +72,17 @@ def _checked(values) -> tuple[np.ndarray, bool]:
     n = _converted(values, "iuf", float, "Bloch vector components must be real numbers")
     if n.shape[-1:] != (8,):
         raise ValidationError(f"Bloch vector must have 8 components, got shape {n.shape}")
-    safe = bool(np.abs(n).max(initial=0.0) <= _SAFE)
-    if not safe and not np.isfinite(n).all():
+    built, safe = _built(n)
+    if built is not n:  # _built read a NaN or inf
         raise ValidationError("Bloch vector components must be finite")
     return n, safe
+
+
+def _built(n) -> tuple[np.ndarray, bool]:
+    """(n, safe) as _checked reports them, for a (..., 8) float array the package computed; no check runs.
+    Unless safe, NaN and inf are sought and read as nan_to_num reads them: an overflow as the largest double."""
+    safe = bool(np.abs(n).max(initial=0.0) <= _SAFE)
+    return (n if safe or np.isfinite(n).all() else np.nan_to_num(n)), safe
 
 
 def _checked_matrix(values, dim: int) -> np.ndarray:
@@ -290,11 +297,8 @@ def _judged(n, safe: bool, tol: float):
 
 
 def _require_state(n, safe: bool, tol: float) -> np.ndarray:
-    """Return n, as _checked reports it with safe, if is_mixed_state(n, tol) holds throughout.
-
-    Otherwise raise for the first failing vector in C order, naming the first
-    constraint it violates.
-    """
+    """Return n, as _checked or _built reports it with safe, if is_mixed_state(n, tol) holds throughout;
+    otherwise raise for the first failing vector in C order, naming the first constraint it violates."""
     q, below = _judged(n, safe, tol)
     _require_all(list(zip(below, q, _NOT_A_STATE)))
     return n

@@ -29,8 +29,7 @@ import math
 import numpy as np
 
 from .bloch import (
-    _SAFE, DEFAULT_TOL, ValidationError, _checked, _checked_matrix, _converted, _require_all, _require_state,
-    as_bloch_vector
+    DEFAULT_TOL, ValidationError, _built, _checked, _checked_matrix, _converted, _require_all, _require_state
 )
 from .gellmann import _LAMBDA, SQRT3, _dot_lambda, _project
 
@@ -60,7 +59,7 @@ def bloch_matrix(n) -> np.ndarray:
     an entry too large for a double reads +-inf, with no warning.
     """
     with np.errstate(over="ignore"):
-        return _bloch_matrix(as_bloch_vector(n))
+        return _bloch_matrix(_checked(n)[0])
 
 
 def from_bloch(n, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -97,10 +96,7 @@ def _checked_density(rho, tol: float = DEFAULT_TOL):
             (trace_dev <= TRACE_TOL, trace_dev, "trace must be 1: |Tr rho - 1| = {:.3e}"),
         ]
     )
-    # n is the gate's own projection, judged without a second check; where it overflowed,
-    # nan_to_num reads +-inf as the largest double, so |n|^2 = inf.
-    safe = bool(np.abs(n).max(initial=0.0) <= _SAFE)
-    return rho, _require_state(n if safe else np.nan_to_num(n), safe, tol)
+    return rho, _require_state(*_built(n), tol)  # the gate's own projection, judged without a second check
 
 
 def eigvals_hermitian_3x3(mat) -> np.ndarray:
