@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import io
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,26 +25,16 @@ from qutrit_bloch.cli import main as cli_main
 from qutrit_bloch.triangle import diag_entropy, entropy_grid
 
 
-@dataclass(frozen=True)
-class Config:
-    resolution: int = 301
-    contour_resolution: int = 256
-    levels: str = "0.1,0.25,0.4,0.55,0.7,0.85,0.95,0.99"
-    tol: str = repr(DEFAULT_TOL)
-    outdir: Path = Path("entropy_landscape_out")
-
-
-def parse_args() -> Config:
+def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--resolution", type=int, default=Config.resolution)
-    parser.add_argument("--contour-resolution", type=int, default=Config.contour_resolution)
+    parser.add_argument("--resolution", type=int, default=301)
+    parser.add_argument("--contour-resolution", type=int, default=256)
     parser.add_argument(
-        "--levels", default=Config.levels, help="comma-separated entropy levels in (0, 1)"
+        "--levels", default="0.1,0.25,0.4,0.55,0.7,0.85,0.95,0.99", help="comma-separated entropy levels in (0, 1)"
     )
-    parser.add_argument("--tol", default=Config.tol)
-    parser.add_argument("--outdir", type=Path, default=Config.outdir)
-    ns = parser.parse_args()
-    return Config(ns.resolution, ns.contour_resolution, ns.levels, ns.tol, ns.outdir)
+    parser.add_argument("--tol", default=repr(DEFAULT_TOL))
+    parser.add_argument("--outdir", type=Path, default=Path("entropy_landscape_out"))
+    return parser.parse_args()
 
 
 def run_cli(argv: list[str], path: Path) -> str:

@@ -14,7 +14,7 @@ would count every mutant as killed.
 
     python scripts/mutants.py              # two tier-1 runs at a time
 
-The 8 survivors of the last pass (of 58 mutants), each likely equivalent, so
+The 8 survivors of the last pass (of 57 mutants), each likely equivalent, so
 that a later pass can show the list got shorter:
 
 - the three `_SAFE` comparisons, in `bloch._built`, `bloch._scaled` and

@@ -11,7 +11,6 @@ approach 1/3.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,18 +20,11 @@ from qutrit_bloch.density import entropy_of_mixing, from_bloch, spectrum
 from qutrit_bloch.triangle import bloch_from_diag, named_points
 
 
-@dataclass(frozen=True)
-class Config:
-    count: int = 200
-    seed: int = 0
-
-
-def parse_args() -> Config:
+def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--count", type=int, default=Config.count)
-    parser.add_argument("--seed", type=int, default=Config.seed)
-    ns = parser.parse_args()
-    return Config(ns.count, ns.seed)
+    parser.add_argument("--count", type=int, default=200)
+    parser.add_argument("--seed", type=int, default=0)
+    return parser.parse_args()
 
 
 def main() -> None:

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bloch import DEFAULT_TOL, ValidationError, _checked, _checked_matrix, _require_all, _require_size, _require_state
-from .gellmann import _LAMBDA, _dot_lambda, _project
+from .bloch import DEFAULT_TOL, ValidationError, _checked, _checked_matrix, _require_all, _require_state
+from .gellmann import _LAMBDA, _dot_lambda, _project, _require_size
 
 UNITARY_TOL = 1e-12
 # orbit_sample draws and rotates this many samples at a time, which bounds its

@@ -26,7 +26,6 @@ validated array.  n star n, the cubic term of every state gate, is
 from __future__ import annotations
 
 import math
-import operator
 from functools import partial
 
 import numpy as np
@@ -214,10 +213,9 @@ def is_pure(n, tol: float = DEFAULT_TOL):
     return bool(pure) if n.ndim == 1 else pure
 
 
-def _pure(n, safe: bool, tol: float, q1=None):
-    """is_pure of a checked n and tol; q1, if given, is _constraints(n, safe)[0]."""
-    if q1 is None:  # |n|^2 alone: the cubic q2 is not needed
-        q1 = np.vecdot(n, n) if safe else _constraints(n, safe)[0]
+def _pure(n, safe: bool, tol: float):
+    """is_pure of a checked n and tol."""
+    q1 = np.vecdot(n, n) if safe else _constraints(n, safe)[0]  # |n|^2 alone: the cubic q2 is not needed
     pure = abs(q1 - 1.0) <= tol
     if not _every(~pure):
         if not safe:
@@ -235,19 +233,6 @@ def _require_tol(tol: float) -> None:
     """
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
-
-
-def _require_size(value, name: str, minimum: int) -> int:
-    """value as an int of at least minimum: the one check of every size argument (resolution, count)."""
-    try:
-        if isinstance(value, bool):  # an int to Python, but not a size
-            raise TypeError
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}")
-    return value
 
 
 def _bounds(q1, q2, tol: float):

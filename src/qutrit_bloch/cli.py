@@ -160,7 +160,7 @@ def cmd_check(ns) -> int:
         q1=q1,
         q2=q2,
         is_state=valid,
-        is_pure=bool(_pure(n, safe, ns.tol, q1)),
+        is_pure=bool(_pure(n, safe, ns.tol)),
         eigenvalues=eigenvalues,
         entropy=_entropy(*_xlogx(eigenvalues)) if valid else None,
     )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -71,9 +72,23 @@ _D_TABLE = {
 }
 
 
+def _require_size(value, name: str, minimum: int) -> int:
+    """value as an int of at least minimum: the one integer rule (resolution, count, Gell-Mann index)."""
+    try:
+        if isinstance(value, bool):  # an int to Python, but not a size or an index
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
+    return value
+
+
 def _check_index(i: int) -> int:
-    i = int(i)
-    if not 1 <= i <= 8:
+    """i as an int in 1..8, by the integer rule of _require_size."""
+    i = _require_size(i, "Gell-Mann index", 1)
+    if i > 8:
         raise ValueError(f"Gell-Mann index must be in 1..8, got {i}")
     return i
 

@@ -359,6 +359,12 @@ class TestContour:
         assert code == 2
         assert "not bracketed" in err
 
+    def test_a_tol_the_refinement_cannot_reach_exits_2(self, capsys):
+        code, out, err = run(capsys, ["contour", "--levels", "0.5", "--resolution", "8", "--tol", "1e-300"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: contour refinement failed to reach |E - 0.5| <= 1e-300\n"
+
     @pytest.mark.parametrize(
         "levels, tol",
         [("1.5", "1e-9"), ("abc", "1e-9"), ("0.5", "0"), ("0.5,1.5", "1e-9"), ("0.5,abc", "1e-9")],

@@ -40,7 +40,7 @@ def test_imaginary_parts_only_in_2_5_7():
         assert has_imag == (i in (2, 5, 7))
 
 
-@pytest.mark.parametrize("bad", [0, 9, -1, 17])
+@pytest.mark.parametrize("bad", [0, 9, -1, 17, 1.5, True, "2", np.float64(2.0)])
 def test_index_out_of_range(bad):
     with pytest.raises(ValueError):
         gm.gell_mann(bad)
@@ -52,6 +52,7 @@ def test_index_out_of_range(bad):
 
 def test_f_symbol_examples():
     assert gm.f_symbol(1, 2, 3) == 1.0
+    assert gm.f_symbol(np.int64(1), 2, np.int64(3)) == 1.0  # a numpy integer is an index
     assert gm.f_symbol(2, 1, 3) == -1.0
     assert gm.f_symbol(1, 1, 5) == 0.0
     assert gm.f_symbol(4, 5, 8) == SQRT3 / 2

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from qutrit_bloch.gellmann import SQRT3
 
 from conftest import rho_from_bloch_oracle, same_bits
 
+ROOT = Path(__file__).resolve().parents[1]
 LOG3_2 = math.log(2) / math.log(3)
 
 in_box_point = st.tuples(
@@ -182,15 +187,30 @@ class TestMembership:
             single = triangle.in_triangle((n3[i, j], n8[i, j]))
             assert type(single) is bool and single == inside[i, j]
 
-    def test_constraints_broadcast_over_point_arrays(self):
-        n3 = np.array([[0.0, 0.3], [-0.2, 0.1]])
-        n8 = np.array([[0.0, -0.4], [0.25, 0.5]])
+    @pytest.mark.parametrize(
+        "n3, n8",
+        [
+            (np.array([[0.0, 0.3], [-0.2, 0.1]]), np.array([[0.0, -0.4], [0.25, 0.5]])),
+            np.meshgrid(triangle.entropy_grid(64).n3, triangle.entropy_grid(64).n8),
+        ],
+        ids=["2x2", "grid-64"],
+    )
+    def test_constraints_broadcast_over_point_arrays(self, n3, n8):
+        # Each point gives the array's bits, as numpy scalars and as Python floats.
         q1, q2 = triangle.diag_constraints((n3, n8))
         xs = triangle.diag_eigenvalues((n3, n8))
-        assert q1.shape == q2.shape == (2, 2) and xs.shape == (3, 2, 2)
-        for i, j in np.ndindex(2, 2):
-            assert (q1[i, j], q2[i, j]) == triangle.diag_constraints((n3[i, j], n8[i, j]))
-            assert np.array_equal(xs[:, i, j], triangle.diag_eigenvalues((n3[i, j], n8[i, j])))
+        assert q1.shape == q2.shape == n3.shape and xs.shape == (3, *n3.shape)
+        for idx in np.ndindex(n3.shape):
+            for point in ((n3[idx], n8[idx]), (n3[idx].item(), n8[idx].item())):
+                assert same_bits(np.array([q1[idx], q2[idx]]), np.array(triangle.diag_constraints(point)))
+                assert np.array_equal(xs[(slice(None), *idx)], triangle.diag_eigenvalues(point))
+
+    def test_a_far_point_of_python_floats_overflows_to_inf_not_an_error(self):
+        far = (0.0, 1e200)
+        assert triangle.diag_constraints(far) == (math.inf, math.inf)
+        assert triangle.in_triangle(far) is False
+        with pytest.raises(ValidationError, match="outside the state triangle"):
+            triangle.diag_entropy(far)
 
     @pytest.mark.parametrize(
         "p",
@@ -416,6 +436,23 @@ class TestEntropyGrid:
         assert grid.q1.tobytes() == q1.tobytes()
         assert grid.q2.tobytes() == q2.tobytes()
 
+    def test_constraints_do_not_depend_on_the_simd_path(self):
+        # numpy picks its kernels at run time; the variable makes a process use
+        # the pre-AVX-512 ones, and is ignored where those features are unknown.
+        code = (
+            "import hashlib; from qutrit_bloch.triangle import entropy_grid\n"
+            "for r in (64, 1000):\n"
+            "    g = entropy_grid(r)\n"
+            "    print(r, *(hashlib.sha256(a.tobytes()).hexdigest() for a in (g.q1, g.q2, g.in_region)))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        outs = [
+            subprocess.run([sys.executable, "-c", code], env=dict(env, **extra), capture_output=True, text=True).stdout
+            for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})
+        ]
+        assert outs[0].count("\n") == 2 and outs[0] == outs[1]
+
     def test_in_region_fraction_near_half(self):
         grid = triangle.entropy_grid(200)
         assert abs(grid.in_region.mean() - 0.5) <= 0.01
@@ -584,13 +621,14 @@ class TestContours:
             assert any(same_polyline(rotated, other, 1e-6) for other in lines)
 
     def test_unconverged_lane_raises(self):
+        # No lane gets within 1e-300 of the level in the 120 steps after its linear start.
+        with pytest.raises(ValidationError, match=r"^contour refinement failed to reach \|E - 0.5\| <= 1e-300$"):
+            triangle.equi_entropy_contour(0.5, 1e-300, 8)
         # From the origin (E = 1) to vertices R and G (E = 0) the linear
-        # interpolant misses E = 0.5; with no further step neither lane converges.
+        # interpolant misses E = 0.5; the steps after it converge.
         p0 = np.zeros((2, 2))
         p1 = np.array([[SQRT3 / 2, 0.0], [0.5, -1.0]])
         args = (p0, p1, np.array([0.5, 0.5]), np.array([-0.5, -0.5]), 0.5, 1e-9)
-        with pytest.raises(ValidationError, match="refinement failed"):
-            triangle._newton_refine(*args, max_iter=0)
         for p in triangle._newton_refine(*args).T:
             assert abs(triangle.diag_entropy(p) - 0.5) <= 1e-9
 
