@@ -14,7 +14,7 @@ would count every mutant as killed.
 
     python scripts/mutants.py              # two tier-1 runs at a time
 
-The 8 survivors of the last pass (of 57 mutants), each likely equivalent, so
+The 10 survivors of the last pass (of 55 mutants), each likely equivalent, so
 that a later pass can show the list got shorter:
 
 - the three `_SAFE` comparisons, in `bloch._built`, `bloch._scaled` and
@@ -24,8 +24,13 @@ that a later pass can show the list got shorter:
   (`dev <= UNITARY_TOL` and `|det U - 1| <= UNITARY_TOL`), which a matrix
   meets with equality only by accident;
 - in `triangle._newton_refine`, the `done` test `|E - level| <= tol` (at
-  equality one more step, which lands within tol again) and the two
-  bracket updates `e >= 0.0` and `e < 0.0` (a lane with e = 0 is done).
+  equality one more step, which lands within tol again), the two
+  bracket updates `e >= 0.0` and `e < 0.0` (a lane with e = 0 is done),
+  and the two bracket tests `ta < newton` and `newton < tb`: with the
+  zero-safe log no slope is infinite, so a Newton step lands on a bracket
+  end only when it rounds to nothing, below what any step could gain.
+  Over 4595 (resolution, level, tol) cases down to tol 1e-16, neither flip
+  changed a contour or an error.
 """
 
 from __future__ import annotations

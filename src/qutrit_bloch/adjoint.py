@@ -18,8 +18,9 @@ construction, to about 2e-15, so only the matrices that callers pass to
 adjoint_su3 and adjoint_su2 are checked against UNITARY_TOL.  The generator
 is numpy's default PCG64, which is part of the public contract: a given seed
 gives the same normals, bit for bit, on every SIMD dispatch path.  The
-matrices built from them are the same on one machine and numpy build, but can
-differ by up to 2e-16 per entry between dispatch paths.
+matrices built from them are the same on one machine, numpy build and OpenBLAS
+core, but can differ by up to 2e-16 per entry between numpy's dispatch paths
+and between OpenBLAS cores.
 """
 
 from __future__ import annotations

@@ -145,18 +145,27 @@ def mixing_entropy(eigenvalues) -> float | np.ndarray:
     The triple runs along the first axis and any further axes broadcast, so
     an array of shape (3, ...) gives entropies of shape (...); a plain triple
     gives a scalar.  Entries within round-off below zero are clipped; inputs
-    are expected to sum to 1.
+    are expected to sum to 1 and must be finite.  A triple whose terms
+    overflow reads -inf, with no warning.
     """
     xs = _converted(eigenvalues, "iuf", float, "eigenvalues must be real numbers")
     if xs.shape[:1] != (3,):
         raise ValidationError(f"eigenvalue triples must run along the first axis, got shape {xs.shape}")
-    return _entropy(*_xlogx(xs))
+    if not np.isfinite(xs).all():
+        raise ValidationError("eigenvalues must be finite")
+    with np.errstate(over="ignore"):
+        return _entropy(*_xlogx(xs))
+
+
+def _log(x) -> np.ndarray:
+    """The one logarithm, zero-safe: log x where x > 0, else 0, so a weight <= 0 adds nothing to E or its slope."""
+    return np.log(np.where(x > 0, x, 1))
 
 
 def _xlogx(x) -> np.ndarray:
-    """x log x elementwise in doubles, with 0 log 0 = 0; entries below zero count as 0."""
+    """x log x elementwise in doubles, by the one zero-safe _log: 0 log 0 = 0, and entries below zero count as 0."""
     x = np.maximum(x, 0.0, dtype=float)
-    return x * np.log(np.where(x > 0, x, 1))
+    return x * _log(x)
 
 
 def _entropy(h0, h1, h2):

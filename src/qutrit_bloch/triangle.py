@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bloch import DEFAULT_TOL, ValidationError, _bounds, _require_all, _require_tol
-from .density import _LN3, _entropy, _xlogx
+from .density import _LN3, _entropy, _log, _xlogx
 from .gellmann import SQRT3, _require_size
 
 
@@ -70,15 +70,16 @@ _REAL = (int, float, np.integer, np.floating, np.ndarray)
 def _checked_point(p):
     """(n3, n8) of a point, or of point arrays: the one check of every triangle input.
 
-    Each coordinate must be a real number or a real array, and is returned as
-    given, so Python floats in give Python floats out.
+    Each coordinate must be a finite real number or real array, and is
+    returned as given, so Python floats in give Python floats out.
     """
     try:
         n3, n8 = p
     except (TypeError, ValueError):
         n3 = n8 = None
-    if not all(isinstance(c, _REAL) and np.asarray(c).dtype.kind in "iuf" for c in (n3, n8)):
-        raise ValidationError("a point must be a pair (n3, n8) of real numbers or real arrays")
+    real = all(isinstance(c, _REAL) and np.asarray(c).dtype.kind in "iuf" for c in (n3, n8))
+    if not (real and np.isfinite(n3).all() and np.isfinite(n8).all()):
+        raise ValidationError("a point must be a pair (n3, n8) of finite real numbers or real arrays")
     return n3, n8
 
 
@@ -104,9 +105,10 @@ def diag_constraints(p):
 
 
 def _diag_constraints(n3, n8):
-    """diag_constraints of checked coordinates."""
-    s3, s8 = n3 * n3, n8 * n8  # products only, no **: one set of bits for a float, an array and every SIMD path
-    return s3 + s8, 2 * s8 * n8 - 6 * s3 * n8 + 3 * s3 + 3 * s8
+    """diag_constraints of checked coordinates; a value too large for a double reads +-inf, with no warning."""
+    with np.errstate(over="ignore"):
+        s3, s8 = n3 * n3, n8 * n8  # products only, no **: one set of bits for a float, an array and every SIMD path
+        return s3 + s8, 2 * s8 * n8 - 6 * s3 * n8 + 3 * s3 + 3 * s8
 
 
 def in_triangle(p, tol: float = DEFAULT_TOL) -> bool | np.ndarray:
@@ -124,9 +126,11 @@ def diag_eigenvalues(p) -> np.ndarray:
     (1 - 2 n8)/3) is affine in p and evaluates to the unit vectors at the
     vertices, so it doubles as barycentric coordinates on the triangle.
     The triple runs along the first axis: n3 and n8 broadcast to one shape S,
-    and the result has shape (3, *S), the layout mixing_entropy takes.
+    and the result has shape (3, *S), the layout mixing_entropy takes.  A
+    weight too large for a double reads +-inf, with no warning.
     """
-    return np.array(np.broadcast_arrays(*_weights(*_checked_point(p))), dtype=float)
+    with np.errstate(over="ignore"):
+        return np.array(np.broadcast_arrays(*_weights(*_checked_point(p))), dtype=float)
 
 
 def _weights(n3, n8):
@@ -198,26 +202,25 @@ def _mirror_columns(resolution: int) -> tuple[int, np.ndarray]:
 def _newton_refine(p0, p1, b0, b1, level, tol) -> np.ndarray:
     """A point with |E - level| <= tol on each segment [p0, p1], one per column.
 
-    b0 >= 0 > b1 are E - level at the ends.  The weights x = _weights(n3, n8)
-    are affine along a segment and sum(dx) = 0, so dE/dt = -sum(dx log x)/ln 3.
-    Each lane starts at the linear interpolant and takes up to 120 Newton steps; a
-    step that is not finite or leaves its bracket [ta, tb] is a bisection instead.
+    b0 >= 0 > b1 are E - level at the ends.  The weights x = _weights(n3, n8) are affine along a
+    segment and sum(dx) = 0, so dE/dt = -sum(dx log x)/ln 3; one zero-safe log per round serves
+    E and its slope.  Each lane starts at the linear interpolant and takes up to 120 Newton
+    steps; a step that is not finite or leaves its bracket [ta, tb] is a bisection instead.
     """
     dx = np.subtract(_weights(*p1), _weights(*p0))
-    held = dx == 0.0  # a weight held at zero along the segment adds nothing to dE/dt
     t = b0 / (b0 - b1)
     ta, tb = np.zeros_like(t), np.ones_like(t)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(121):  # the linear start, then 120 steps
             point = (1.0 - t) * p0 + t * p1
             x = np.array(_weights(*point))
-            e = _entropy(*_xlogx(x)) - level
+            log_x = _log(x)
+            e = _entropy(*(x * log_x)) - level
             done = np.abs(e) <= tol
             if done.all():
                 return point
             ta, tb = np.where(e >= 0.0, t, ta), np.where(e < 0.0, t, tb)
-            slope = np.where(held, 0.0, dx * np.log(x)).sum(axis=0)
-            newton = t + e * _LN3 / slope
+            newton = t + e * _LN3 / (dx * log_x).sum(axis=0)
             newton = np.where((ta < newton) & (newton < tb), newton, 0.5 * (ta + tb))
             t = np.where(done, t, newton)
     raise ValidationError(f"contour refinement failed to reach |E - {level}| <= {tol}")
@@ -276,18 +279,12 @@ def _lattice_entropy(resolution: int) -> np.ndarray:
 
 
 def _lattice_points(flat, n: int) -> np.ndarray:
-    """(n3, n8) of the lattice points at flat indices i (n + 1) + j, one per column.
-
-    n8 = 1.5 (i + j)/n - 1 is written as |sqrt(3) n3| - 1 + 3 min(i, j)/n, and
-    as 0.5 where i + j = n, so that _weights gives an exact 0 weight on
-    every edge of the triangle: where i or j is 0, 1 +/- sqrt(3) n3 + n8 then
-    cancels in floating point.  The weight that vanishes along such an edge
-    stays constant, which keeps the Newton slope of _newton_refine finite.
+    """(n3, n8) = (sqrt(3)/2 (i - j)/n, 1.5 (i + j)/n - 1) of the lattice points at flat
+    indices i (n + 1) + j, one per column.  On the triangle's edges _weights then gives
+    weights within about 1e-16 of 0, not exactly 0; _newton_refine reads them safely.
     """
     i, j = np.divmod(flat, n + 1)
-    n3 = SQRT3 / 2 * ((i - j) / n)
-    n8 = (np.abs(SQRT3 * n3) - 1.0) + 3.0 * np.minimum(i, j) / n
-    return np.array([n3, np.where(i + j == n, 0.5, n8)])
+    return np.array([SQRT3 / 2 * ((i - j) / n), 1.5 * ((i + j) / n) - 1.0])
 
 
 def _lattice_contour(entropy, level: float, tol: float) -> list[list[DiagPoint]]:

@@ -566,6 +566,14 @@ class TestStacks:
                 checked += 1
         assert checked == (9 if kind == "vectors" else 6)
 
+    @pytest.mark.parametrize("bad", [[math.nan, 0.5, 0.5], [math.inf, 0.0, 0.0], [[0.5], [0.5], [-math.inf]]])
+    def test_mixing_entropy_rejects_what_is_not_finite(self, bad):
+        with pytest.raises(ValidationError, match="^eigenvalues must be finite$"):
+            density.mixing_entropy(bad)
+
+    def test_mixing_entropy_overflows_to_minus_inf_not_a_warning(self):
+        assert density.mixing_entropy([1e308, 1e308, -1e308]) == -math.inf
+
     def test_mixing_entropy_rejects_triples_off_the_first_axis(self):
         with pytest.raises(ValidationError, match="first axis"):
             density.mixing_entropy(np.full((2, 3), 0.5))

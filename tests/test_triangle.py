@@ -164,7 +164,11 @@ class TestMembership:
         with pytest.raises(ValueError):
             triangle.in_triangle((0.0, 0.0), tol=-1.0)
 
-    @pytest.mark.parametrize("bad", [(0.0,), np.zeros((3, 4)), ("a", 0.1)], ids=["one", "3x4", "str"])
+    @pytest.mark.parametrize(
+        "bad",
+        [(0.0,), np.zeros((3, 4)), ("a", 0.1), (math.nan, 0.0), (0.0, np.array([0.0, -math.inf]))],
+        ids=["one", "3x4", "str", "nan", "inf-in-array"],
+    )
     @pytest.mark.parametrize(
         "f", ["diag_constraints", "in_triangle", "diag_eigenvalues", "diag_entropy", "bloch_from_diag"]
     )
@@ -211,6 +215,14 @@ class TestMembership:
         assert triangle.in_triangle(far) is False
         with pytest.raises(ValidationError, match="outside the state triangle"):
             triangle.diag_entropy(far)
+        # numpy scalars and arrays overflow the same way, with no warning
+        assert triangle.in_triangle((np.float64(0), np.float64(1e200))) is False
+        assert triangle.in_triangle((np.array([0.0]), np.array([1e200]))).tolist() == [False]
+        assert triangle.diag_constraints((np.float64(0), np.float64(1e200))) == (math.inf, math.inf)
+        with pytest.raises(ValidationError, match="outside the state triangle"):
+            triangle.diag_entropy((np.float64(0), np.float64(1e200)))
+        xs = triangle.diag_eigenvalues((np.float64(1e308), np.float64(1e308)))
+        assert xs[0] == math.inf and xs[2] == -math.inf
 
     @pytest.mark.parametrize(
         "p",
@@ -501,7 +513,8 @@ class TestLatticeKernelsBitForBit:
     def test_lattice_entropy_is_the_entropy_of_the_weights(self, resolution):
         entropy = triangle._lattice_entropy(resolution)
         weights = lattice_weights(resolution)
-        assert same_bits(entropy, density.mixing_entropy(weights))
+        on = np.add.outer(np.arange(resolution), np.arange(resolution)) < resolution  # i + j <= n
+        assert same_bits(entropy[on], density.mixing_entropy(weights[:, on]))  # it rejects the NaN off the lattice
         assert same_bits(entropy, clipped_entropy(weights))
 
     def test_grid_entropy_is_the_entropy_of_the_meshgrid(self, resolution):
@@ -631,6 +644,17 @@ class TestContours:
         args = (p0, p1, np.array([0.5, 0.5]), np.array([-0.5, -0.5]), 0.5, 1e-9)
         for p in triangle._newton_refine(*args).T:
             assert abs(triangle.diag_entropy(p) - 0.5) <= 1e-9
+
+    def test_refinement_needs_few_rounds_at_every_level(self, monkeypatch):
+        # A lane that falls back to bisection (a -inf or NaN slope on an edge weight) needs many rounds.
+        lattices = {r: triangle._lattice_entropy(r) for r in (8, 16, 64, 65, 256)}
+        entropy, calls = triangle._entropy, []
+        monkeypatch.setattr(triangle, "_entropy", lambda *h: calls.append(h) or entropy(*h))
+        for resolution, lattice in lattices.items():
+            for level in [k / 100 for k in range(1, 100, 2) if k / 100 < np.nanmax(lattice)]:  # the bracketed ones
+                calls.clear()
+                triangle._lattice_contour(lattice, level, 1e-9)
+                assert len(calls) <= 10, (resolution, level)
 
     def test_unattained_level_is_signaled(self):
         with pytest.raises(ValidationError, match="not bracketed"):
