@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from qutrit_bloch.triangle import VERTICES, bloch_from_diag
 from conftest import LAMBDA_REF, PAULI_REF, sample_valid_bloch
 
 N_R = bloch_from_diag(VERTICES["R"])
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestAdjointSU3:
@@ -205,7 +210,8 @@ class TestHaarSampling:
             u = adjoint.haar_random_su3(seed)
             np.testing.assert_allclose(u.conj().T @ u, np.eye(3), atol=1e-12)
             assert abs(np.linalg.det(u) - 1.0) <= 1e-12
-        # orbit_sample does not check its draws, so a batch draw must be special unitary by construction
+        # orbit_sample does not check its draws, so a batch draw must be unitary by construction;
+        # the special draw is the unitary one times a unit phase (checked below), so this bounds both
         u = adjoint._haar_special_unitary(3, np.random.default_rng(0), (20000,))
         assert np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(3)).max() <= 1e-12
         assert np.abs(np.linalg.det(u) - 1.0).max() <= 1e-12
@@ -215,29 +221,66 @@ class TestHaarSampling:
         pinned = np.array(
             [
                 [
-                    0.25114094507696777 - 0.4081572327792005j,
-                    0.06930395873251573 + 0.1383857596734689j,
-                    -0.8247603786081478 + 0.2572013991750756j,
+                    0.25114094507696755 - 0.40815723277920063j,
+                    0.06930395873251576 + 0.1383857596734689j,
+                    -0.8247603786081475 + 0.2572013991750758j,
                 ],
                 [
-                    -0.629085776410536 - 0.28988217890692514j,
-                    -0.15256611676247828 - 0.5599277371361041j,
-                    -0.26080899346012426 - 0.33970956183496387j,
+                    -0.6290857764105361 - 0.28988217890692497j,
+                    -0.15256611676247836 - 0.5599277371361041j,
+                    -0.26080899346012437 - 0.33970956183496376j,
                 ],
                 [
-                    -0.24090881558909327 + 0.4822014619196627j,
-                    0.7975578569494768 - 0.05614549708940407j,
-                    -0.26337158535251043 - 0.02879667858707588j,
+                    -0.2409088155890931 + 0.48220146191966257j,
+                    0.7975578569494769 - 0.0561454970894041j,
+                    -0.2633715853525105 - 0.02879667858707576j,
                 ],
             ]
         )
         np.testing.assert_array_equal(adjoint.haar_random_su3(7), pinned)
 
-    def test_batch_draw_matches_single_draws_in_stream_order(self):
-        batch = adjoint._haar_special_unitary(3, np.random.default_rng(8), (5,))
+    @pytest.mark.parametrize("draw", [adjoint._haar_unitary, adjoint._haar_special_unitary])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_batch_draw_matches_single_draws_in_stream_order(self, draw, dim):
+        batch = draw(dim, np.random.default_rng(8), (2, 5))
         rng = np.random.default_rng(8)
-        for u in batch:
-            np.testing.assert_array_equal(u, adjoint._haar_special_unitary(3, rng))
+        for u in batch.reshape(10, dim, dim):
+            assert u.tobytes() == draw(dim, rng).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_special_draw_is_the_unitary_draw_times_a_phase(self, dim):
+        u = adjoint._haar_unitary(dim, np.random.default_rng(9), (1000,))
+        su = adjoint._haar_special_unitary(dim, np.random.default_rng(9), (1000,))
+        phase = su[:, :1, :1] / u[:, :1, :1]
+        assert np.abs(np.abs(phase) - 1.0).max() <= 2e-15
+        assert np.abs(su - phase * u).max() <= 2e-15
+        assert np.abs(np.linalg.det(u) * phase[:, 0, 0] ** dim - 1.0).max() <= 1e-14
+
+    def test_draws_and_orbits_do_not_depend_on_the_dispatch_path(self):
+        # numpy picks its SIMD kernels and OpenBLAS its core at run time; each
+        # variable switches one process to another path, and is ignored where
+        # the feature or core is unknown.  The second numpy setting leaves no
+        # FMA kernel.
+        code = (
+            "import hashlib, numpy as np; from qutrit_bloch import adjoint\n"
+            "n = np.array([0.1, 0.2, -0.1, 0.05, 0.3, 0.1, -0.2, 0.15])\n"
+            "for a in (adjoint.orbit_sample(n, 1, 7), adjoint.orbit_sample(n, adjoint._ORBIT_CHUNK + 3, 5),\n"
+            "          adjoint._haar_unitary(2, np.random.default_rng(3), (100,))):\n"
+            "    print(hashlib.sha256(a.tobytes()).hexdigest())\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        outs = {
+            subprocess.run([sys.executable, "-c", code], env=dict(env, **extra), capture_output=True, text=True).stdout
+            for extra in (
+                {},
+                {"OPENBLAS_CORETYPE": "Haswell"},
+                {"OPENBLAS_CORETYPE": "Prescott"},
+                {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+                {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+            )
+        }
+        assert len(outs) == 1 and outs.pop().count("\n") == 3
 
     def test_first_moment_matches_haar(self):
         rng = np.random.default_rng(2024)
@@ -275,8 +318,9 @@ class TestOrbitSample:
 
     def test_matches_per_sample_reference_loop(self):
         # The batched sampler draws each unitary's Gaussians in the same
-        # stream order as this one-at-a-time loop, so only the last bits of
-        # the contraction may differ.
+        # stream order as this one-at-a-time loop.  It conjugates by the U(3)
+        # draws, which differ from these special unitaries by a global phase
+        # that cancels, so only the last bits may differ.
         for n, seed in ((N_R, 5), (sample_valid_bloch(np.random.default_rng(73), 1)[0], 6)):
             rng = np.random.default_rng(seed)
             expected = np.array(
@@ -287,7 +331,7 @@ class TestOrbitSample:
 
     def test_matches_conjugation_of_the_density_matrix(self):
         # The paper's definition of the action: rho -> U rho U^dag, read back
-        # as a Bloch vector, with the Haar draws orbit_sample makes.
+        # as a Bloch vector, with orbit_sample's Haar draws up to a global phase.
         states = [N_R, *sample_valid_bloch(np.random.default_rng(83), 4)]
         for seed, n in enumerate(states, start=5):
             rng = np.random.default_rng(seed)
@@ -304,9 +348,9 @@ class TestOrbitSample:
         # from one chunk to the next, so the rows equal one batch bit for bit.
         n = sample_valid_bloch(np.random.default_rng(79), 1)[0]
         count = adjoint._ORBIT_CHUNK + 3
-        unitaries = adjoint._haar_special_unitary(3, np.random.default_rng(8), (count,))
+        unitaries = adjoint._haar_unitary(3, np.random.default_rng(8), (count,))
         n_lambda = np.einsum("j,jab->ab", n, LAMBDA_REF)
-        rotated = unitaries @ n_lambda @ unitaries.conj().swapaxes(-1, -2)
+        rotated = np.einsum("kbc,cd,ked->kbe", unitaries, n_lambda, unitaries.conj())
         expected = adjoint._project(rotated, LAMBDA_REF)
         assert adjoint.orbit_sample(n, count, seed=8).tobytes() == expected.tobytes()
 
